@@ -95,16 +95,18 @@ _MAX_PANELS = 20000
 _LADDER_LEVELS = 40
 
 
+def _gk_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod nodes of the panels [lo, hi] and their half widths."""
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[..., None] + half[..., None] * GK_NODES, half
+
+
 def gk_panels(phi: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Single Gauss-Kronrod pass over a batch of panels [lo_i, hi_i].
 
     Returns (values, error estimates); phi must accept ndarray input.
     """
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[..., None] + half[..., None] * GK_NODES
+    nodes, half = _gk_nodes(np.asarray(lo, float), np.asarray(hi, float))
     vals = phi(nodes.ravel()).reshape(nodes.shape)
     if np.isnan(vals).any():
         bad = nodes.ravel()[np.isnan(vals).ravel()][0]
@@ -256,11 +258,6 @@ class Partition:
     r: float
     i_lo: int
     breakpoints: np.ndarray   # ascending, len >= 2
-
-    def blocks(self) -> list[IntervalRC]:
-        bp = self.breakpoints
-        return [IntervalRC(float(bp[i]), float(bp[i + 1]), mass=self.r)
-                for i in range(len(bp) - 1)]
 
 
 class _CustomTable:

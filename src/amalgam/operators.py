@@ -11,6 +11,13 @@ The potential K f(x) = int k(x - y) f(y) dmu(y) integrates in measure
 coordinates with the panel layout split at x, at the support edges and
 at the declared singular points of f, grading dyadically toward each
 singular endpoint.  Non-decaying graded sums raise DivergenceError.
+potential() integrates one point adaptively.  potential_profile() uses a
+fixed layout per point and groups the points by layout template: x only
+moves the cut at t_x = F(x), so all points outside the support share one
+layout, and points inside one segment between fixed cuts share one
+structure with t_x as a column.  Each group is evaluated in batches of
+32 points, with nodes and f values computed once for the panels that do
+not move with x.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ import numpy as np
 
 from .functions import (RealFunction, power_twist, riesz_kernel_function,
                         table_function)
-from .measure import (DivergenceError, IntervalRC, RadonMeasure,
-                      _integrate_t, gk_panels, lebesgue, make_interval,
-                      power_measure)
-from .norms import Exponent, LqTable, weak_norm
+from .measure import (_LADDER_LEVELS, GK_WEIGHTS, DivergenceError,
+                      EvaluationError, IntervalRC, RadonMeasure, _gk_nodes,
+                      _integrate_t, lebesgue, power_measure)
+from .norms import Exponent, LqTable, _golden_max, weak_norm
 
 __all__ = [
     "Kernel",
@@ -42,6 +49,10 @@ __all__ = [
     "riesz_via_power_measure",
     "farfield_bound_check",
 ]
+
+# Points per vectorized evaluation in potential_profile.  A batch's node
+# arrays hold points x panels x 15 values; 32 points keep them small.
+_PROFILE_BATCH = 32
 
 
 @dataclass
@@ -248,28 +259,10 @@ def _scan_then_golden(fn, lo, hi, scan: int = 96):
     j = int(np.argmax(vals))
     a = ws[max(j - 1, 0)]
     b = ws[min(j + 1, scan - 1)]
-    w, fw = _golden(fn, a, b)
+    w, fw = _golden_max(fn, a, b)
     if fw >= vals[j]:
         return w, fw
     return ws[j], float(vals[j])
-
-
-def _golden(fn, lo, hi, iters: int = 60):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
 
 
 def _maximal_sup_kind(m: RadonMeasure, f: RealFunction, beta: Exponent,
@@ -321,87 +314,6 @@ def maximal_profile(m: RadonMeasure, f: RealFunction, q, beta,
     return out
 
 
-def _segment_panels(a: float, b: float, sing_a: bool, sing_b: bool,
-                    base: int, levels: int = 40):
-    """Panel edges for one segment; ladders grade toward singular ends.
-
-    Returns (lo, hi, groups) where groups lists (slice, orientation) of
-    ladder panels needing a geometric tail estimate.
-    """
-    los: list[np.ndarray] = []
-    his: list[np.ndarray] = []
-    groups: list[tuple[int, int]] = []
-    n0 = 0
-
-    def ladder(t_sing, t_far):
-        nonlocal n0
-        h = t_far - t_sing
-        scale = np.abs(h) * 2.0 ** -np.arange(levels)
-        near = t_sing + np.sign(h) * scale / 2.0
-        far = t_sing + np.sign(h) * scale
-        los.append(np.minimum(near, far))
-        his.append(np.maximum(near, far))
-        groups.append((n0, n0 + levels))
-        n0 += levels
-
-    if sing_a and sing_b:
-        mid = 0.5 * (a + b)
-        ladder(a, mid)
-        ladder(b, mid)
-    elif sing_a:
-        ladder(a, b)
-    elif sing_b:
-        ladder(b, a)
-    else:
-        edges = np.linspace(a, b, base + 1)
-        los.append(edges[:-1])
-        his.append(edges[1:])
-        n0 += base
-    return los, his, groups
-
-
-def _fixed_quadrature(phi, t_lo: float, t_hi: float,
-                      sing_ts: Sequence[float], break_ts: Sequence[float],
-                      base_panels: int = 24) -> float:
-    """Non-adaptive graded quadrature used by the profile scans."""
-    if t_hi <= t_lo:
-        return 0.0
-    sing = sorted({t for t in sing_ts if t_lo <= t <= t_hi})
-    cuts = sorted({t_lo, t_hi, *sing, *(t for t in break_ts if t_lo < t < t_hi)})
-    los: list[np.ndarray] = []
-    his: list[np.ndarray] = []
-    groups: list[tuple[int, int]] = []
-    offset = 0
-    span = t_hi - t_lo
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        base = max(6, int(np.ceil(base_panels * (b - a) / span)))
-        l, h, g = _segment_panels(a, b, a in sing, b in sing, base)
-        n_here = sum(len(x) for x in l)
-        los.extend(l)
-        his.extend(h)
-        groups.extend([(s + offset, e + offset) for s, e in g])
-        offset += n_here
-    lo = np.concatenate(los)
-    hi = np.concatenate(his)
-    vals, _ = gk_panels(phi, lo, hi)
-    total = float(np.sum(vals))
-    for s, e in groups:
-        p = vals[s:e]
-        last, prev = abs(float(p[-1])), abs(float(p[-2]))
-        scale = max(float(np.max(np.abs(p))), 1e-300)
-        if last <= 1e-12 * scale:
-            continue
-        rho = last / max(prev, 1e-300)
-        if rho >= 0.98:
-            raise DivergenceError(
-                "graded panel sums do not decay toward the singular endpoint",
-                partial_sums=p)
-        total += float(p[-1]) * rho / (1.0 - rho)
-    return total
-
-
 def _potential_layout(m: RadonMeasure, f: RealFunction, k: Kernel):
     t_lo, t_hi = m.cdf(f.support.a), m.cdf(f.support.b)
     sing_f = [m.cdf(s) for s in f.singularities]
@@ -433,31 +345,196 @@ def potential(m: RadonMeasure, f: RealFunction, k: Kernel, x: float,
     return val
 
 
+def _ladder_edges(t_sing, t_far):
+    """Dyadic panels from t_far down to the singular end t_sing.
+
+    Either end may be an array of per-point values; the panels then come
+    one row per point.
+    """
+    t_sing = np.asarray(t_sing, float)[..., None]
+    h = np.asarray(t_far, float)[..., None] - t_sing
+    scale = np.abs(h) * 2.0 ** -np.arange(_LADDER_LEVELS)
+    near = t_sing + np.sign(h) * scale / 2.0
+    far = t_sing + np.sign(h) * scale
+    return np.minimum(near, far), np.maximum(near, far)
+
+
+def _segment_runs(a, b, sing_a: bool, sing_b: bool, base: int):
+    """Panel runs (lo, hi, graded) of the segment [a, b].
+
+    Ladders grade toward singular ends and are closed by a geometric
+    tail; a segment without singular ends gets `base` equal panels.
+    """
+    if sing_a and sing_b:
+        mid = 0.5 * (a + b)
+        return [(*_ladder_edges(a, mid), True), (*_ladder_edges(b, mid), True)]
+    if sing_a or sing_b:
+        edges = _ladder_edges(a, b) if sing_a else _ladder_edges(b, a)
+        return [(*edges, True)]
+    edges = np.linspace(a, b, base + 1, axis=-1)
+    return [(edges[..., :-1], edges[..., 1:], False)]
+
+
+def _profile_groups(t: np.ndarray, t_lo: float, t_hi: float, sing_f, brk_f,
+                    singular: bool, base_panels: int):
+    """Split points, given by t = F(x), into groups sharing a panel layout.
+
+    The cuts that do not depend on x are the support edges and the
+    singular points and breakpoints of f inside the support.  t_x adds a
+    cut when it lies strictly between two of them, and makes the cut it
+    lands on singular for a singular kernel.  Yields (rows, cuts, sing,
+    bases): the rows of t in the group, the cuts in order with None
+    standing for t_x, the singular flags of the cuts, and the panel count
+    of each segment (0 for graded ones).
+    """
+    s0 = {s for s in sing_f if t_lo <= s <= t_hi}
+    cuts0 = sorted({t_lo, t_hi, *s0, *(b for b in brk_f if t_lo < b < t_hi)})
+    flags0 = [c in s0 for c in cuts0]
+    pos = np.searchsorted(cuts0, t)           # cuts0[pos - 1] < t <= cuts0[pos]
+    on_cut = np.asarray(cuts0)[np.minimum(pos, len(cuts0) - 1)] == t
+    inside = (t_lo < t) & (t < t_hi) & ~on_cut
+    groups = [((t < t_lo) | (t > t_hi) | (on_cut & (not singular)),
+               cuts0, flags0)]
+    if singular:
+        for j in np.unique(pos[on_cut]):
+            groups.append((on_cut & (pos == j), cuts0,
+                           [*flags0[:j], True, *flags0[j + 1:]]))
+    for j in np.unique(pos[inside]):
+        groups.append((inside & (pos == j), [*cuts0[:j], None, *cuts0[j:]],
+                       [*flags0[:j], singular, *flags0[j:]]))
+    span = t_hi - t_lo
+    for mask, cuts, sing in groups:
+        rows = np.flatnonzero(mask)
+        if rows.size == 0:
+            continue
+        ends = [t[rows] if c is None else c for c in cuts]
+        counts = np.zeros((rows.size, len(cuts) - 1), int)
+        for i, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+            if not (sing[i] or sing[i + 1]):
+                counts[:, i] = np.maximum(
+                    6, np.ceil(base_panels * (b - a) / span).astype(int))
+        keys, which = np.unique(counts, axis=0, return_inverse=True)
+        which = which.ravel()
+        for u, bases in enumerate(keys):
+            yield rows[which == u], cuts, sing, bases
+
+
+def _profile_group(m: RadonMeasure, f: RealFunction, k: Kernel,
+                   xs: np.ndarray, ts: np.ndarray, cuts, sing, bases):
+    """K f at the points xs (with ts = F(xs)) of one layout group.
+
+    Returns (values, error), where error is (row, exception) for the
+    first row whose integrand gives NaN or whose graded sums do not
+    decay, and None when every row is fine.
+    """
+    def runs(seg_runs):
+        """(nodes, half widths, y, f(y), graded) of each panel run."""
+        out = []
+        for lo, hi, graded in seg_runs:
+            nodes, half = _gk_nodes(lo, hi)
+            y = m.inv_cdf(nodes)
+            with np.errstate(divide="ignore", over="ignore"):
+                out.append((nodes, half, y, np.asarray(f(y), float), graded))
+        return out
+
+    segs = list(zip(cuts[:-1], cuts[1:], sing[:-1], sing[1:], bases))
+    # Segments whose ends do not move with x: nodes, y and f(y) once.
+    shared = {i: runs(_segment_runs(*seg)) for i, seg in enumerate(segs)
+              if seg[0] is not None and seg[1] is not None}
+    out = np.empty(xs.size)
+    for s in range(0, xs.size, _PROFILE_BATCH):
+        x = xs[s:s + _PROFILE_BATCH, None, None]
+        tb = ts[s:s + _PROFILE_BATCH]
+        n = x.shape[0]
+        parts = []
+        for i, (a, b, sa, sb, base) in enumerate(segs):
+            parts += shared[i] if i in shared else runs(_segment_runs(
+                tb if a is None else a, tb if b is None else b, sa, sb, base))
+        with np.errstate(divide="ignore", over="ignore"):
+            vals = np.concatenate([np.asarray(k(x - y), float) * fy
+                                   for _, _, y, fy, _ in parts], axis=1)
+        half = np.concatenate([np.broadcast_to(p[1], (n, p[1].shape[-1]))
+                               for p in parts], axis=1)
+        errors = []
+        nan_rows = np.flatnonzero(np.isnan(vals).any(axis=(1, 2)))
+        if nan_rows.size:
+            r = nan_rows[0]
+            nodes = np.concatenate([np.broadcast_to(p[0], (n,) + p[0].shape[-2:])
+                                    for p in parts], axis=1)[r]
+            bad = nodes.ravel()[np.isnan(vals[r]).ravel()][0]
+            errors.append((r, EvaluationError(
+                f"integrand returned NaN near t={bad!r}", location=float(bad))))
+        # Same arithmetic as gk_panels: one (panels, 15) product per point.
+        with np.errstate(invalid="ignore"):
+            k15 = half * (vals @ GK_WEIGHTS)
+        k15 = np.where(np.isfinite(k15), k15, 0.0)
+        total = k15.sum(axis=1)
+        start = 0
+        for nodes, _, _, _, graded in parts:
+            stop = start + nodes.shape[-2]
+            if graded:
+                p = k15[:, start:stop]
+                mags = np.abs(p)
+                last = mags[:, -1]
+                tail = last > 1e-12 * np.maximum(mags.max(axis=1), 1e-300)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rho = last / np.maximum(mags[:, -2], 1e-300)
+                    total = np.where(tail, total + p[:, -1] * rho / (1.0 - rho),
+                                     total)
+                diverging = np.flatnonzero(tail & (rho >= 0.98))
+                if diverging.size:
+                    r = diverging[0]
+                    errors.append((r, DivergenceError(
+                        "graded panel sums do not decay toward the singular "
+                        "endpoint", partial_sums=p[r].copy())))
+            start = stop
+        out[s:s + n] = total
+        if errors:
+            r, exc = min(errors, key=lambda e: e[0])
+            return out, (s + r, exc)
+    return out, None
+
+
 def potential_profile(m: RadonMeasure, f: RealFunction, k: Kernel,
                       xs: np.ndarray, base_panels: int = 24) -> np.ndarray:
-    """K f at many points with the fixed graded panel scheme."""
+    """K f at many points with the fixed graded panel scheme.
+
+    Each point's panel layout splits the support at the singular points
+    and breakpoints of f and at t_x = F(x) when it lies inside; segments
+    get max(6, ceil(base_panels * length / support length)) equal panels,
+    or dyadic ladders with a geometric tail toward singular ends.  The
+    points are grouped by layout (_profile_groups) and each group is
+    integrated in batches of _PROFILE_BATCH points, with nodes and f
+    values shared by the panels that do not move with x.  Points on a
+    singular point of f give NaN; non-decaying ladder sums raise
+    DivergenceError and NaN integrands EvaluationError, for the first
+    such point in xs.
+    """
     xs = np.asarray(xs, float)
     t_lo, t_hi, sing_f, brk_f = _potential_layout(m, f, k)
-    out = np.empty(xs.shape, float)
-    for i, x in enumerate(xs):
-        if x in f.singularities:
-            out[i] = np.nan
-            continue
-        t_x = m.cdf(x)
-
-        def phi(t, _x=x):
-            y = m.inv_cdf(t)
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.asarray(k(_x - y), float) * np.asarray(f(y), float)
-
-        sing = list(sing_f)
-        brk = list(brk_f)
-        if t_lo <= t_x <= t_hi:
-            if k.singular_exponent is not None:
-                sing.append(t_x)
-            else:
-                brk.append(t_x)
-        out[i] = _fixed_quadrature(phi, t_lo, t_hi, sing, brk, base_panels)
+    out = np.full(xs.shape, np.nan)
+    valid = np.flatnonzero(~np.isin(xs, f.singularities))
+    if t_hi <= t_lo:
+        out[valid] = 0.0
+        return out
+    t = np.asarray(m.cdf(xs[valid]), float)
+    # Array and scalar powers may round apart in the last place, and t_x
+    # sets panel edges: near the support take it point by point, as
+    # potential() does.
+    pad = 1e-9 * max(abs(t_lo), abs(t_hi))
+    near = np.flatnonzero((t >= t_lo - pad) & (t <= t_hi + pad))
+    t[near] = [m.cdf(x) for x in xs[valid[near]]]
+    errors = []
+    for rows, cuts, sing, bases in _profile_groups(
+            t, t_lo, t_hi, sing_f, brk_f, k.singular_exponent is not None,
+            base_panels):
+        idx = valid[rows]
+        vals, err = _profile_group(m, f, k, xs[idx], t[rows], cuts, sing, bases)
+        out[idx] = vals
+        if err is not None:
+            errors.append((idx[err[0]], err[1]))
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
     return out
 
 

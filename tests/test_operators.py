@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from amalgam.functions import RealFunction, indicator, scaled, table_function, tent
-from amalgam.measure import IntervalRC, lebesgue, power_measure
+from amalgam.functions import (RealFunction, indicator, power_function, scaled,
+                               table_function, tent)
+from amalgam.measure import (DivergenceError, EvaluationError, IntervalRC,
+                             custom_measure, gk_panels, lebesgue, power_measure)
 from amalgam.operators import (
     MaximalQuery,
     default_mass_grid,
@@ -18,6 +20,7 @@ from amalgam.operators import (
     maximal,
     maximal_profile,
     potential,
+    potential_profile,
     riesz_kernel,
     riesz_potential,
     riesz_via_power_measure,
@@ -214,3 +217,158 @@ def test_potential_positive_inside_support(gamma, x):
     val = potential(LEB, CHI11, riesz_kernel(gamma), x)
     assert val > 0.0
     assert np.isfinite(val)
+
+
+# ---------------------------------------------------------------------------
+# potential_profile against a point-by-point reference
+
+
+def _reference_layout(t_lo, t_hi, sing_ts, break_ts, base_panels):
+    """Panel edges of one point's graded layout, plus its ladder ranges."""
+    sing = sorted({t for t in sing_ts if t_lo <= t <= t_hi})
+    cuts = sorted({t_lo, t_hi, *sing, *(t for t in break_ts if t_lo < t < t_hi)})
+    los, his, ladders = [], [], []
+
+    def ladder(t_sing, t_far):
+        h = t_far - t_sing
+        scale = abs(h) * 2.0 ** -np.arange(40)
+        near = t_sing + np.sign(h) * scale / 2.0
+        far = t_sing + np.sign(h) * scale
+        start = sum(len(lo) for lo in los)
+        los.append(np.minimum(near, far))
+        his.append(np.maximum(near, far))
+        ladders.append((start, start + 40))
+
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if a in sing and b in sing:
+            mid = 0.5 * (a + b)
+            ladder(a, mid)
+            ladder(b, mid)
+        elif a in sing or b in sing:
+            ladder(a, b) if a in sing else ladder(b, a)
+        else:
+            base = max(6, int(np.ceil(base_panels * (b - a) / (t_hi - t_lo))))
+            edges = np.linspace(a, b, base + 1)
+            los.append(edges[:-1])
+            his.append(edges[1:])
+    return np.concatenate(los), np.concatenate(his), ladders
+
+
+def _reference_profile(m, f, k, xs, base_panels=24):
+    """K f point by point: one gk_panels call per point, tails added in order."""
+    t_lo, t_hi = m.cdf(f.support.a), m.cdf(f.support.b)
+    out = np.empty(len(xs))
+    for i, x in enumerate(xs):
+        if x in f.singularities:
+            out[i] = np.nan
+            continue
+        if t_hi <= t_lo:
+            out[i] = 0.0
+            continue
+        t_x = m.cdf(x)
+        sing = [m.cdf(s) for s in f.singularities]
+        brk = [m.cdf(b) for b in f.breakpoints]
+        if t_lo <= t_x <= t_hi:
+            (sing if k.singular_exponent is not None else brk).append(t_x)
+        lo, hi, ladders = _reference_layout(t_lo, t_hi, sing, brk, base_panels)
+
+        def phi(t, _x=x):
+            y = m.inv_cdf(t)
+            with np.errstate(divide="ignore", over="ignore"):
+                return np.asarray(k(_x - y), float) * np.asarray(f(y), float)
+
+        vals, _ = gk_panels(phi, lo, hi)
+        total = float(np.sum(vals))
+        for s, e in ladders:
+            p = vals[s:e]
+            last, prev = abs(float(p[-1])), abs(float(p[-2]))
+            if last <= 1e-12 * max(float(np.max(np.abs(p))), 1e-300):
+                continue
+            rho = last / max(prev, 1e-300)
+            if rho >= 0.98:
+                raise DivergenceError("graded panel sums do not decay",
+                                      partial_sums=p)
+            total += float(p[-1]) * rho / (1.0 - rho)
+        out[i] = total
+    return out
+
+
+CUSTOM = custom_measure([[-2.0, 1.0], [-0.5, 0.4], [0.5, 2.0], [2.0, 1.0]],
+                        left_exp=0.5, right_exp=0.0)
+PROFILE_MEASURES = [LEB, power_measure(0.4), CUSTOM]
+PROFILE_FUNCTIONS = [indicator(-0.5, 1.0), tent(-1.0, 1.5),
+                     power_function(-0.4, (-1.0, 1.0))]
+PROFILE_KERNELS = [riesz_kernel(0.6),
+                   table_kernel([[0.0, 2.0], [0.5, 1.5], [1.0, 1.0], [3.0, 0.0]])]
+
+
+def _profile_points(m, f):
+    """A grid through the support plus support edges and breakpoints."""
+    inner = np.linspace(f.support.a, f.support.b, 23)[1:-1]
+    outer = [f.support.a - 2.0, f.support.a - 0.1, f.support.b + 0.1,
+             f.support.b + 3.0]
+    marks = [f.support.a, f.support.b, *f.breakpoints, *f.singularities]
+    return np.array([*outer, *marks, *inner, *marks[::-1]], float)
+
+
+@pytest.mark.parametrize("k", PROFILE_KERNELS, ids=lambda k: k.label)
+@pytest.mark.parametrize("f", PROFILE_FUNCTIONS, ids=lambda f: f.label)
+@pytest.mark.parametrize("m", PROFILE_MEASURES, ids=repr)
+def test_potential_profile_matches_reference(m, f, k):
+    xs = _profile_points(m, f)
+    got = potential_profile(m, f, k, xs)
+    assert np.array_equal(got, _reference_profile(m, f, k, xs), equal_nan=True)
+    assert np.array_equal(np.isnan(got), np.isin(xs, f.singularities))
+    assert np.all(np.isfinite(got[~np.isnan(got)]))
+
+
+def test_potential_profile_base_panels_and_batches():
+    # More points than one batch, spread over every segment of the
+    # support, with a coarser and a finer base panel count.
+    m, f = power_measure(0.4), tent(-1.0, 1.5)
+    k = PROFILE_KERNELS[1]
+    xs = np.linspace(-2.0, 2.5, 211)
+    for panels in (7, 24, 60):
+        got = potential_profile(m, f, k, xs, base_panels=panels)
+        assert np.array_equal(got, _reference_profile(m, f, k, xs, panels))
+
+
+def test_potential_profile_empty_and_zero_support():
+    assert potential_profile(LEB, CHI01, riesz_kernel(0.5), np.array([])).size == 0
+    got = potential_profile(LEB, ZERO, riesz_kernel(0.5), np.array([-1.0, 0.5]))
+    assert np.array_equal(got, np.zeros(2))
+
+
+def test_potential_profile_divergence_is_first_point():
+    # |x|^-1.2 is not integrable at 0: every point's ladder there diverges,
+    # and the error carries the first point's partial sums.
+    f = power_function(-1.2, (-1.0, 1.0))
+    xs = np.array([3.0, -2.0, 0.5])
+    k = riesz_kernel(0.5)
+    with pytest.raises(DivergenceError) as got:
+        potential_profile(LEB, f, k, xs)
+    with pytest.raises(DivergenceError) as ref:
+        _reference_profile(LEB, f, k, xs[:1])
+    assert np.array_equal(got.value.partial_sums, ref.value.partial_sums)
+
+
+def test_potential_profile_nan_integrand_raises():
+    f = RealFunction(eval=lambda x: np.where(x > 0.5, np.nan, 1.0),
+                     support=IntervalRC(0.0, 1.0), label="nan-half")
+    with pytest.raises(EvaluationError) as got:
+        potential_profile(LEB, f, riesz_kernel(0.5), np.array([2.0, 0.25]))
+    assert 0.5 < got.value.location < 1.0
+
+
+# The fixed layout does not cut at the table kernel's knots (|x - y| =
+# 0.5, 1), so its kinks cost accuracy there: about 3e-6 relative.
+@pytest.mark.parametrize("m", [LEB, power_measure(0.4)], ids=repr)
+@pytest.mark.parametrize("k, rel", [(PROFILE_KERNELS[0], 1e-6),
+                                    (PROFILE_KERNELS[1], 1e-5)],
+                         ids=["riesz", "table"])
+def test_potential_profile_agrees_with_adaptive(m, k, rel):
+    f = tent(-1.0, 1.5)
+    xs = np.array([-2.0, -0.4, 0.7, 2.5])
+    got = potential_profile(m, f, k, xs)
+    want = [potential(m, f, k, x) for x in xs]
+    assert got == pytest.approx(want, rel=rel)
