@@ -4,7 +4,7 @@ A RealFunction bundles a vectorized evaluator with the structure the
 numerics can exploit: effective support, kinks and jumps (breakpoints),
 singular points, and ideally a closed-form description of the superlevel
 sets of |f|.  Functions without declared level structure fall back to
-root finding on monotone pieces, or to sampling.
+sampling.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ class RealFunction:
     Outside `support` the magnitude is bounded by `tail_bound` (zero for
     every built-in family member).  `levels(lam, strict)` returns the
     x-intervals of {|f| > lam} (or {|f| >= lam}) when a closed form is
-    known.  `monotone_pieces` lists intervals on which |f| is monotone,
-    enabling bisection when no closed form exists.
+    known.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -48,7 +47,6 @@ class RealFunction:
     tail_bound: float = 0.0
     singularities: tuple[float, ...] = ()
     breakpoints: tuple[float, ...] = ()
-    monotone_pieces: tuple[tuple[float, float], ...] | None = None
     levels: Callable[[float, bool], list[tuple[float, float]]] | None = None
 
     def __call__(self, x):
@@ -240,39 +238,9 @@ def make_function(spec: dict) -> RealFunction:
     raise ValueError(f"unknown function kind {kind!r}")
 
 
-def _bisect_levels(f: RealFunction, lam: float) -> list[tuple[float, float]]:
-    """Superlevel intervals via bisection on each declared monotone piece."""
-
-    def val(x: float) -> float:
-        if x in f.singularities:
-            return np.inf
-        return abs(float(f(np.array([x]))[0]))
-
-    out = []
-    for lo, hi in f.monotone_pieces:
-        above_lo, above_hi = val(lo) > lam, val(hi) > lam
-        if above_lo and above_hi:
-            out.append((lo, hi))
-            continue
-        if not (above_lo or above_hi):
-            continue
-        a, b = lo, hi
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if (val(mid) > lam) == above_lo:
-                a = mid
-            else:
-                b = mid
-        xc = 0.5 * (a + b)
-        out.append((lo, xc) if above_lo else (xc, hi))
-    return sorted(out)
-
-
 def level_set_intervals(f: RealFunction, lam: float,
                         strict: bool = True) -> list[tuple[float, float]] | None:
     """x-intervals of the superlevel set of |f|, or None if only sampling works."""
     if f.levels is not None:
         return f.levels(float(lam), strict)
-    if f.monotone_pieces:
-        return _bisect_levels(f, float(lam))
     return None

@@ -200,7 +200,7 @@ def weak_norm(m: RadonMeasure, f: RealFunction, alpha,
     bottom = float(np.min(pos))
     lams = np.geomspace(max(bottom, top * 1e-15), top, lambda_grid_size)
     ra = alpha.recip
-    if f.levels is None and not f.monotone_pieces:
+    if f.levels is None:
         if f.tail_bound > 0.0 and lams[0] < f.tail_bound:
             return np.inf
         # Pure sampling: count exceedances for all levels in one sort.

@@ -5,7 +5,10 @@ measure coordinates: an interval containing x is determined by the mass
 u to the left of x and v to the right, so candidates are (total mass,
 left fraction) pairs.  Every reported value is a certified lower bound
 of the true supremum; a coordinate golden-section polish in (log u,
-log v) tightens the grid winner.
+log v) tightens the grid winner.  maximal_profile() shares the family
+over many points and evaluates it in reach-limited batches: per total
+mass, one block of every left fraction over the sorted points whose
+candidates can meet the support, since the others score exactly 0.
 
 The potential K f(x) = int k(x - y) f(y) dmu(y) integrates in measure
 coordinates with the panel layout split at x, at the support edges and
@@ -288,7 +291,14 @@ def maximal_profile(m: RadonMeasure, f: RealFunction, q, beta,
     """Vectorized maximal-function lower bound over many points.
 
     Shares one candidate family across all points so that level sets of
-    the output are consistent under refinement.
+    the output are consistent under refinement: for each mass M of the
+    grid, split_count intervals with u = M * fraction left of x and
+    v = M - u right of it, valued M^(1/beta - 1/q) |f 1_I|_q.  The
+    points are sorted once.  For each mass, the run of points where some
+    split meets the table's range is evaluated, all splits in one
+    (split_count, points) block.  The points outside the run would score
+    exactly 0, so the values are those of evaluating every candidate at
+    every point.
     """
     q, beta = Exponent.of(q), Exponent.of(beta)
     if q.is_inf:
@@ -304,14 +314,39 @@ def maximal_profile(m: RadonMeasure, f: RealFunction, q, beta,
     expo = beta.recip - q.recip
     rq = 1.0 / q.value
     fracs = (np.arange(split_count) + 1.0) / (split_count + 1.0)
-    out = np.zeros_like(t_xs)
+    if t_xs.size == 0 or fracs.size == 0:
+        return np.zeros_like(t_xs)
+    order = np.argsort(t_xs, axis=None, kind="stable")
+    ts = t_xs.ravel()[order]                  # NaNs sort last
+    best = np.zeros_like(ts)
+    e0, e1 = table.t_edges[[0, -1]]
+    # Left of e0 the interpolated cumulative integral is exactly cum[0],
+    # right of e1 exactly cum[-1], so a candidate wholly on one side has
+    # d = 0 and value 0: the points beyond reach of every split of a mass
+    # form the two tails of ts and are skipped.  A NaN point, an infinite
+    # table total (inf - inf) or coef (inf * 0) gives NaN instead, so
+    # those evaluate every point.
+    can_skip = np.isfinite(table.cum[-1]) and not np.isnan(ts[-1])
     for M in mass_grid:
         coef = M ** expo
-        for fr in fracs:
-            u = fr * M
-            vals = coef * table.mass_between(t_xs - u, t_xs + (M - u)) ** rq
-            np.maximum(out, vals, out=out)
-    return out
+        u = (fracs * M)[:, None]
+        v = M - u
+        lo, hi = 0, ts.size
+        if can_skip and np.isfinite(coef) and 0.0 < M < np.inf:
+            # No double lies strictly between a real number and its
+            # rounding, so t < fl(e0 - v_max) gives t + v <= e0 exactly,
+            # and t > fl(e1 + u_max) gives t - u >= e1.
+            lo = np.searchsorted(ts, e0 - v.max(), side="left")
+            hi = np.searchsorted(ts, e1 + u.max(), side="right")
+        if lo < hi:
+            t = ts[lo:hi]
+            vals = table.mass_between(t - u, t + v)
+            vals **= rq                       # coef * d ** rq, in place
+            vals *= coef
+            np.maximum(best[lo:hi], vals.max(axis=0), out=best[lo:hi])
+    out = np.empty(ts.size)
+    out[order] = best
+    return out.reshape(t_xs.shape)
 
 
 def _potential_layout(m: RadonMeasure, f: RealFunction, k: Kernel):
