@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .harness import (ConfigError, HypothesisRejected, NumericalFailure,
@@ -152,37 +153,58 @@ def _cmd_verify(args) -> int:
     return _verdict_code(report.verdict)
 
 
+def _sweep_one(path: Path, seed, tol, grid_scale):
+    """One scenario file's summary entry, and its report unless it was
+    rejected or failed numerically."""
+    scn = load_scenario(path)
+    if seed is not None:
+        scn.seed = seed
+    entry = {"scenario": scn.name, "target": scn.target}
+    try:
+        report = verify_scenario(scn, stability_tol=tol, base_scale=grid_scale)
+    except HypothesisRejected as e:
+        return dict(entry, status="rejected", reason=str(e)), None
+    except (NumericalFailure, DivergenceError, QuadratureError) as e:
+        return dict(entry, status="error", reason=str(e)), None
+    return dict(entry, status=report.verdict, constant=report.empirical_constant,
+                stability=report.refinement_stability), report
+
+
 def _cmd_sweep(args) -> int:
     paths = [Path(p) for p in args.scenario]
     if args.dir:
         paths.extend(sorted(Path(args.dir).glob("*.json")))
     if not paths:
         raise ConfigError("sweep needs --scenario files or --dir")
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
+    run = partial(_sweep_one, seed=args.seed, tol=args.tol,
+                  grid_scale=args.grid_scale)
+    pool = None
+    if args.jobs > 1:
+        # Imported only here, as they would add several percent to the
+        # CLI's import time.  Workers are spawned: forking a process that
+        # has threads is unsafe.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(paths)),
+                                   mp_context=multiprocessing.get_context("spawn"))
     summary, code = [], 0
-    for path in paths:
-        scn = load_scenario(path)
-        if args.seed is not None:
-            scn.seed = args.seed
-        entry = {"scenario": scn.name, "target": scn.target}
-        try:
-            report = verify_scenario(scn, stability_tol=args.tol,
-                                     base_scale=args.grid_scale)
-        except HypothesisRejected as e:
-            entry.update(status="rejected", reason=str(e))
-            code = max(code, 2) if code != 1 else 1
-        except (NumericalFailure, DivergenceError, QuadratureError) as e:
-            entry.update(status="error", reason=str(e))
-            code = 1
-        else:
-            entry.update(status=report.verdict,
-                         constant=report.empirical_constant,
-                         stability=report.refinement_stability)
-            if report.verdict == "fail":
+    try:
+        # Both maps yield in path order, so nothing below depends on --jobs.
+        results = map(run, paths) if pool is None else pool.map(run, paths)
+        for path, (entry, report) in zip(paths, results):
+            if entry["status"] == "rejected":
+                code = max(code, 2) if code != 1 else 1
+            elif entry["status"] in ("error", "fail"):
                 code = 1
-            if args.out:
+            if report is not None and args.out:
                 write_report(report, args.out, stem=path.stem)
-        summary.append(entry)
-        print(f"{entry['scenario']} [{entry['target']}] {entry['status']}")
+            summary.append(entry)
+            print(f"{entry['scenario']} [{entry['target']}] {entry['status']}")
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -249,6 +271,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--grid-scale", type=int, default=1)
     p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="verify this many scenarios at once, in worker processes")
     p.set_defaults(fn=_cmd_sweep)
     return top
 

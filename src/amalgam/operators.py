@@ -25,17 +25,16 @@ not move with x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .functions import (RealFunction, power_twist, riesz_kernel_function,
-                        table_function)
+from .functions import RealFunction, power_twist
 from .measure import (_LADDER_LEVELS, GK_WEIGHTS, DivergenceError,
                       EvaluationError, IntervalRC, RadonMeasure, _gk_nodes,
                       _integrate_t, lebesgue, power_measure)
-from .norms import Exponent, LqTable, _golden_max, weak_norm
+from .norms import Exponent, LqTable, _golden_max
 
 __all__ = [
     "Kernel",
@@ -69,52 +68,9 @@ class Kernel:
     eval: Callable[[np.ndarray], np.ndarray]
     label: str
     singular_exponent: float | None = None
-    window: float = 1e6   # half-width used when viewed as a function
-    _fn_cache: dict = field(default_factory=dict, repr=False)
-    _weak_cache: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, u):
         return self.eval(np.asarray(u, float))
-
-    def as_function(self, half_width: float | None = None) -> RealFunction:
-        R = float(half_width or self.window)
-        if R not in self._fn_cache:
-            self._fn_cache[R] = self._build_function(R)
-        return self._fn_cache[R]
-
-    def _build_function(self, R: float) -> RealFunction:
-        raise NotImplementedError
-
-    def weak_eta_norm(self, m: RadonMeasure, eta) -> float:
-        """Weak L^eta(mu) norm of the kernel, cached per (measure, eta)."""
-        eta = Exponent.of(eta)
-        key = (m.kind, getattr(m, "a", 0.0), eta.value)
-        if key not in self._weak_cache:
-            self._weak_cache[key] = weak_norm(m, self.as_function(), eta)
-        return self._weak_cache[key]
-
-
-class _RieszKernel(Kernel):
-    def _build_function(self, R: float) -> RealFunction:
-        gamma = self.singular_exponent + 1.0
-        return riesz_kernel_function(gamma, (-R, R))
-
-
-class _TableKernel(Kernel):
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        def ev(u):
-            return np.interp(np.abs(u), xs, ys, right=0.0)
-
-        super().__init__(eval=ev, label=f"table-kernel[0,{xs[-1]}]",
-                         singular_exponent=None, window=float(xs[-1]))
-        self._xs, self._ys = xs, ys
-
-    def _build_function(self, R: float) -> RealFunction:
-        xs, ys = self._xs, self._ys
-        full = np.concatenate([-xs[::-1], xs[1:]])
-        vals = np.concatenate([ys[::-1], ys[1:]])
-        return table_function(np.column_stack([full, vals]),
-                              label=f"sym({self.label})")
 
 
 def riesz_kernel(gamma: float) -> Kernel:
@@ -126,8 +82,7 @@ def riesz_kernel(gamma: float) -> Kernel:
         with np.errstate(divide="ignore"):
             return np.abs(u) ** (gamma - 1.0)
 
-    return _RieszKernel(eval=ev, label=f"riesz({gamma})",
-                        singular_exponent=gamma - 1.0)
+    return Kernel(eval=ev, label=f"riesz({gamma})", singular_exponent=gamma - 1.0)
 
 
 def table_kernel(points: Sequence[Sequence[float]]) -> Kernel:
@@ -144,7 +99,12 @@ def table_kernel(points: Sequence[Sequence[float]]) -> Kernel:
         raise ValueError("kernel must be nonincreasing on the positive half line")
     if np.any(ys < 0):
         raise ValueError("kernel values must be nonnegative")
-    return _TableKernel(xs.copy(), ys.copy())
+    xs, ys = xs.copy(), ys.copy()
+
+    def ev(u):
+        return np.interp(np.abs(u), xs, ys, right=0.0)
+
+    return Kernel(eval=ev, label=f"table-kernel[0,{xs[-1]}]")
 
 
 def make_kernel(spec: dict) -> Kernel:
@@ -327,7 +287,7 @@ def maximal_profile(m: RadonMeasure, f: RealFunction, q, beta,
     # table total (inf - inf) or coef (inf * 0) gives NaN instead, so
     # those evaluate every point.
     can_skip = np.isfinite(table.cum[-1]) and not np.isnan(ts[-1])
-    for M in mass_grid:
+    for M in np.asarray(mass_grid, float):
         coef = M ** expo
         u = (fracs * M)[:, None]
         v = M - u

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,3 +350,51 @@ def test_cli_function_specs_parse(expr, capsys):
                  "--q", "1", "--p", "2", "--alpha", "1.5"])
     capsys.readouterr()
     assert code == 0
+
+
+# --- one driver: the probe has no side effects, sweeps do not depend on --jobs
+
+
+ONE_PER_TARGET = ["thm21_part1_lebesgue", "thm21_part2_power", "cor23_power",
+                  "cor24_lebesgue", "thm31_power", "lem32_lebesgue", "lem33_power",
+                  "prop34_power", "cor35_power", "cor36_power", "prop41_alpha15",
+                  "steinweiss_a25", "norms_embedding", "covering_lebesgue"]
+
+
+def small_scenario_block(stem: str) -> dict:
+    block = json.loads(Path(f"scenarios/{stem}.json").read_text())
+    block.update(samples=64, lambda_grid={"count": 4})
+    if block["target"] == "covering_trials":
+        block["options"] = {**block.get("options", {}), "trials": 3}
+    return block
+
+
+def test_one_scenario_per_target():
+    targets = {load_scenario(f"scenarios/{s}.json").target for s in ONE_PER_TARGET}
+    assert targets == set(TARGETS)
+
+
+@pytest.mark.parametrize("stem", ONE_PER_TARGET)
+def test_homogeneity_probe_leaves_report_alone(stem):
+    scn = parse_scenario(small_scenario_block(stem), stem)
+    probed = run_scenario(scn, check_homogeneity=True).to_dict()
+    plain = run_scenario(scn, check_homogeneity=False).to_dict()
+    assert probed["homogeneity_ok"] is True
+    for key in ("rows", "details", "witness", "empirical_constant"):
+        assert probed[key] == plain[key], key
+
+
+def test_cli_sweep_jobs_do_not_change_output(tmp_path, capsys):
+    argv = ["sweep"]
+    for stem in ("cor24_lebesgue", "norms_identity", "covering_lebesgue"):
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(small_scenario_block(stem)))
+        argv += ["--scenario", str(path)]
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code = main(argv + ["--out", str(out), "--jobs", jobs])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((code, capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][2]) == 7     # two files per scenario plus the summary

@@ -148,14 +148,6 @@ def test_kernel_even_and_monotone():
         assert np.all(np.diff(k(u)) <= 1e-12)
 
 
-def test_kernel_weak_eta_norm_cached_finite():
-    k = riesz_kernel(0.5)
-    v1 = k.weak_eta_norm(LEB, 2)
-    v2 = k.weak_eta_norm(LEB, 2)
-    assert np.isfinite(v1) and v1 == v2
-    assert v1 == pytest.approx(math.sqrt(2.0), rel=1e-3)
-
-
 def test_table_kernel_validation():
     with pytest.raises(ValueError):
         table_kernel([[0.5, 1.0], [1.0, 0.5]])        # must start at 0
@@ -522,3 +514,22 @@ def test_maximal_profile_unusual_inputs():
                                                   splits, table)
             assert got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_maximal_profile_mass_grid_list_matches_array():
+    # A list grid holds Python floats, whose 0.0 ** (negative) raises
+    # ZeroDivisionError; it must behave exactly like the same array.
+    f = tent(-1.0, 1.5)
+    table = LqTable(LEB, f, Exponent.of(1))
+    xs = np.array([0.2, -np.inf, np.inf, 4.0, -3.0])
+    for grid in ([0.0, 1.0], [5e-324, 0.5], [-1.0, np.inf, np.nan], [0.5, 4.0]):
+        for q, beta in [(1, math.inf), (1, 1), (2, 3)]:
+            with np.errstate(all="ignore"):
+                got = maximal_profile(LEB, f, q, beta, xs, mass_grid=grid,
+                                      table=table)
+                want = maximal_profile(LEB, f, q, beta, xs,
+                                       mass_grid=np.array(grid), table=table)
+                ref = _reference_maximal_profile(LEB, f, q, beta, xs,
+                                                 np.array(grid), 17, table)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(got, ref, equal_nan=True)
