@@ -154,17 +154,18 @@ def _cmd_verify(args) -> int:
 
 
 def _sweep_one(path: Path, seed, tol, grid_scale):
-    """One scenario file's summary entry, and its report unless it was
-    rejected or failed numerically."""
-    scn = load_scenario(path)
-    if seed is not None:
-        scn.seed = seed
-    entry = {"scenario": scn.name, "target": scn.target}
+    """One scenario file's summary entry (named by the file stem if the
+    file is malformed), and its report if it was verified."""
+    entry = {"scenario": path.stem, "target": None}
     try:
+        scn = load_scenario(path)
+        if seed is not None:
+            scn.seed = seed
+        entry = {"scenario": scn.name, "target": scn.target}
         report = verify_scenario(scn, stability_tol=tol, base_scale=grid_scale)
     except HypothesisRejected as e:
         return dict(entry, status="rejected", reason=str(e)), None
-    except (NumericalFailure, DivergenceError, QuadratureError) as e:
+    except (ConfigError, NumericalFailure, DivergenceError, QuadratureError) as e:
         return dict(entry, status="error", reason=str(e)), None
     return dict(entry, status=report.verdict, constant=report.empirical_constant,
                 stability=report.refinement_stability), report
@@ -201,7 +202,7 @@ def _cmd_sweep(args) -> int:
             if report is not None and args.out:
                 write_report(report, args.out, stem=path.stem)
             summary.append(entry)
-            print(f"{entry['scenario']} [{entry['target']}] {entry['status']}")
+            print(f"{entry['scenario']} [{entry['target'] or '?'}] {entry['status']}")
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

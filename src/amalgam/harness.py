@@ -146,8 +146,11 @@ def parse_scenario(block: dict, name: str = "scenario") -> Scenario:
     window_mass = block.get("window_mass", DEFAULT_WINDOW_MASS)
     need(isinstance(window_mass, (int, float)) and window_mass > 0,
          "field 'window_mass' must be positive")
-    kappas = tuple(float(k) for k in block.get("kappas", DEFAULT_KAPPAS))
-    need(not any(k <= 0 for k in kappas), "kappas must be positive")
+    kappas = block.get("kappas", DEFAULT_KAPPAS)
+    need(isinstance(kappas, (list, tuple)) and len(kappas) > 0 and all(
+        isinstance(k, (int, float)) and k > 0 for k in kappas),
+        "field 'kappas' must be a non-empty list of positive numbers")
+    kappas = tuple(float(k) for k in kappas)
     tolerances = dict(block.get("tolerances", {}))
     seed = block.get("seed", 0)
     need(isinstance(seed, int), "field 'seed' must be an int")

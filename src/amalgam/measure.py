@@ -13,7 +13,11 @@ turns any integral against mu into a plain Lebesgue integral:
 All quadrature is done in the t coordinate.  Equal-mass partitions are
 exact by construction (breakpoints are F^{-1} of an arithmetic grid),
 and integrable endpoint singularities are handled by a dyadically graded
-ladder of panels with a geometric tail estimate.
+ladder of panels with a geometric tail estimate.  This module owns that
+core for every caller (integrate, LqTable, and potential and
+potential_profile in operators): the cuts at singular points and
+breakpoints (_cuts), the ladder panels (_ladder_edges, _segment_runs),
+and its tail and divergence test (_ladder_tail).
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class QuadratureError(RuntimeError):
 class DivergenceError(QuadratureError):
     """Graded panel sums do not decay: the integral looks divergent."""
 
-    def __init__(self, message: str, partial_sums: np.ndarray):
+    def __init__(self, message: str = "graded panel sums do not decay toward "
+                 "the singular endpoint", *, partial_sums: np.ndarray):
         total = float(np.sum(partial_sums))
         super().__init__(message, estimate=total, error_bound=float("inf"))
         self.partial_sums = partial_sums
@@ -92,7 +97,7 @@ G_WEIGHTS = _wg_full
 
 _MAX_DEPTH = 40
 _MAX_PANELS = 20000
-_LADDER_LEVELS = 40
+_LADDER_SCALES = 2.0 ** -np.arange(40)     # panel widths over the ladder's span
 
 
 def _gk_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,10 +130,8 @@ def gk_panels(phi: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray
     return k15, err
 
 
-def _adaptive(phi: Callable, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _adaptive(phi: Callable, lo: float, hi: float, tol: float) -> float:
     """Globally adaptive G-K integration of phi over [lo, hi] (smooth case)."""
-    if hi <= lo:
-        return 0.0, 0.0
     val, err = gk_panels(phi, np.array([lo]), np.array([hi]))
     heap = [(-float(err[0]), 0, float(lo), float(hi), float(val[0]), float(err[0]))]
     total, total_err = float(val[0]), float(err[0])
@@ -137,7 +140,7 @@ def _adaptive(phi: Callable, lo: float, hi: float, tol: float) -> tuple[float, f
     while True:
         target = tol * max(abs(total), 1e-14)
         if total_err <= target:
-            return total, total_err
+            return total
         if not heap or count >= _MAX_PANELS:
             raise QuadratureError(
                 "quadrature stalled before reaching tolerance",
@@ -161,71 +164,91 @@ def _adaptive(phi: Callable, lo: float, hi: float, tol: float) -> tuple[float, f
         count += 2
 
 
-def _ladder(phi: Callable, t_sing: float, t_far: float, tol: float) -> tuple[float, float]:
-    """Integrate phi between a singular endpoint t_sing and t_far.
+def _ladder_edges(t_sing, t_far):
+    """Dyadic panels (lo, hi) from t_far down to the singular end t_sing,
+    one row per point when the ends are arrays of per-point values."""
+    t_sing = np.asarray(t_sing, float)[..., None]
+    h = np.asarray(t_far, float)[..., None] - t_sing
+    step = np.sign(h) * (np.abs(h) * _LADDER_SCALES)
+    near = t_sing + step / 2.0
+    far = t_sing + step
+    return np.minimum(near, far), np.maximum(near, far)
 
-    Dyadically graded panels accumulate toward the singularity; the
-    innermost sliver is closed by a geometric tail estimate.  Panel sums
-    that fail to decay raise DivergenceError.
+
+def _ladder_ends(a, b, sing_a: bool, sing_b: bool):
+    """(singular end, far end) of each ladder of the segment [a, b]; a
+    segment singular at both ends gets two ladders meeting at its middle."""
+    if sing_a and sing_b:
+        mid = 0.5 * (a + b)
+        return [(a, mid), (b, mid)]
+    return [(a, b)] if sing_a else [(b, a)] if sing_b else []
+
+
+def _segment_runs(a, b, sing_a: bool, sing_b: bool, base: int):
+    """Panel runs (lo, hi, graded) of the segment [a, b]: its ladders, or
+    `base` equal panels when neither end is singular."""
+    if sing_a or sing_b:
+        return [(*_ladder_edges(s, far), True)
+                for s, far in _ladder_ends(a, b, sing_a, sing_b)]
+    edges = np.linspace(a, b, base + 1, axis=-1)
+    return [(edges[..., :-1], edges[..., 1:], False)]
+
+
+def _ladder_tail(panel_sums: np.ndarray, tol: float):
+    """Geometric-tail remainders of ladders (one per row, innermost panel
+    last) and a mask of the rows that diverge.
+
+    A tail is added when the last panel exceeds tol times the largest.
+    Its ratio rho to the one before is < 1 for an integrable singularity
+    (2^-(e+1) for t^e); rho >= 0.98 counts as diverging.  Rows without a
+    tail get -0.0, which leaves any sum it is added to unchanged.
     """
-    h = t_far - t_sing
-    if h == 0.0:
-        return 0.0, 0.0
-    scale = np.abs(h) * 2.0 ** -np.arange(_LADDER_LEVELS)
-    near = t_sing + np.sign(h) * scale / 2.0
-    far = t_sing + np.sign(h) * scale
-    lo = np.minimum(near, far)
-    hi = np.maximum(near, far)
-    vals, errs = gk_panels(phi, lo, hi)
-    mags = np.abs(vals)
-    tail_scale = max(float(np.max(mags)), 1e-300)
-    # Ratio of consecutive panel magnitudes near the singular end; a
-    # convergent integrable singularity gives rho < 1 (exactly 2^-(e+1)
-    # for a pure power t^e).
-    last, prev = mags[-1], mags[-2]
-    if last <= tol * tail_scale:
-        rem, rem_err = 0.0, 0.0
-    else:
-        rho = last / max(prev, 1e-300)
-        if rho >= 0.98:
-            raise DivergenceError(
-                "graded panel sums do not decay toward the singular endpoint",
-                partial_sums=vals)
-        rem = float(vals[-1]) * rho / (1.0 - rho)
-        rem_err = 0.5 * abs(rem)
-    return float(np.sum(vals)) + rem, float(np.sum(errs)) + rem_err
+    p = np.atleast_2d(panel_sums)
+    mags = np.abs(p)
+    last = mags[:, -1]
+    tail = last > tol * np.maximum(mags.max(axis=1), 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho = last / np.maximum(mags[:, -2], 1e-300)
+        rem = np.where(tail, p[:, -1] * rho / (1.0 - rho), -0.0)
+    return rem, tail & (rho >= 0.98)
+
+
+def _ladder(phi: Callable, t_sing: float, t_far: float, tol: float) -> float:
+    """Integrate phi between a singular endpoint t_sing and t_far over one
+    ladder closed by its tail; raises DivergenceError if it diverges."""
+    if t_far - t_sing == 0.0:
+        return 0.0
+    vals, _ = gk_panels(phi, *_ladder_edges(t_sing, t_far))
+    rem, diverging = _ladder_tail(vals, tol)
+    if diverging[0]:
+        raise DivergenceError(partial_sums=vals)
+    return float(np.sum(vals)) + rem[0]
+
+
+def _cuts(t_lo: float, t_hi: float, singular_ts: Sequence[float],
+          break_ts: Sequence[float]) -> tuple[list, list]:
+    """Sorted cuts of [t_lo, t_hi] and their singular flags: the ends, the
+    singular points in [t_lo, t_hi] and the breakpoints strictly inside."""
+    sing = {float(t) for t in singular_ts if t_lo <= t <= t_hi}
+    cuts = sorted({t_lo, t_hi, *sing,
+                   *(float(t) for t in break_ts if t_lo < t < t_hi)})
+    return cuts, [c in sing for c in cuts]
 
 
 def _integrate_t(phi: Callable, t_lo: float, t_hi: float, tol: float,
                  singular_ts: Sequence[float] = (),
-                 break_ts: Sequence[float] = ()) -> tuple[float, float]:
+                 break_ts: Sequence[float] = ()) -> float:
     """Integrate phi over [t_lo, t_hi] splitting at the given t points."""
     if t_hi <= t_lo:
-        return 0.0, 0.0
-    sing = sorted({float(t) for t in singular_ts if t_lo <= t <= t_hi})
-    cuts = sorted({t_lo, t_hi, *sing,
-                   *(float(t) for t in break_ts if t_lo < t < t_hi)})
-    total, total_err = 0.0, 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        a_sing, b_sing = a in sing, b in sing
-        if a_sing and b_sing:
-            mid = 0.5 * (a + b)
-            for s, f in ((a, mid), (b, mid)):
-                v, e = _ladder(phi, s, f, tol)
-                total += v
-                total_err += e
-        elif a_sing or b_sing:
-            s, f = (a, b) if a_sing else (b, a)
-            v, e = _ladder(phi, s, f, tol)
-            total += v
-            total_err += e
-        else:
-            v, e = _adaptive(phi, a, b, tol)
-            total += v
-            total_err += e
-    return total, total_err
+        return 0.0
+    cuts, sing = _cuts(t_lo, t_hi, singular_ts, break_ts)
+    total = 0.0
+    for a, b, sa, sb in zip(cuts[:-1], cuts[1:], sing[:-1], sing[1:]):
+        if not (sa or sb):
+            total += _adaptive(phi, a, b, tol)
+        for s, far in _ladder_ends(a, b, sa, sb):
+            total += _ladder(phi, s, far, tol)
+    return total
 
 
 @dataclass(frozen=True)
@@ -488,8 +511,7 @@ def integrate(m: RadonMeasure, g, interval: IntervalRC, tol: float = 1e-8,
 
     sing_ts = [m.cdf(s) for s in singularities]
     break_ts = [m.cdf(s) for s in breakpoints]
-    val, _ = _integrate_t(phi, t_lo, t_hi, tol, sing_ts, break_ts)
-    return val
+    return _integrate_t(phi, t_lo, t_hi, tol, sing_ts, break_ts)
 
 
 def partition(m: RadonMeasure, x0: float, r: float, window: IntervalRC) -> Partition:

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .functions import RealFunction, level_set_intervals
-from .measure import (IntervalRC, RadonMeasure, _ladder, gk_panels, integrate)
+from .measure import (IntervalRC, RadonMeasure, _cuts, _ladder, gk_panels,
+                      integrate)
 
 __all__ = [
     "Exponent",
@@ -80,10 +81,11 @@ def _t_range(m: RadonMeasure, f: RealFunction) -> tuple[float, float]:
     return m.cdf(f.support.a), m.cdf(f.support.b)
 
 
-def _marked_ts(m: RadonMeasure, f: RealFunction, t_lo: float, t_hi: float):
-    sing = sorted({m.cdf(s) for s in f.singularities if t_lo <= m.cdf(s) <= t_hi})
-    brk = sorted({m.cdf(b) for b in f.breakpoints if t_lo < m.cdf(b) < t_hi})
-    return sing, brk
+def _t_layout(m: RadonMeasure, f: RealFunction):
+    """F of the support ends, the singular points and the breakpoints of f."""
+    t_lo, t_hi = _t_range(m, f)
+    sing = [m.cdf(s) for s in f.singularities]
+    return t_lo, t_hi, sing, [m.cdf(b) for b in f.breakpoints]
 
 
 class LqTable:
@@ -99,10 +101,9 @@ class LqTable:
                  cells: int = 4096):
         if q.is_inf:
             raise ValueError("LqTable requires a finite exponent")
-        t_lo, t_hi = _t_range(m, f)
-        sing, brk = _marked_ts(m, f, t_lo, t_hi)
-        edges = np.unique(np.concatenate([
-            np.linspace(t_lo, t_hi, cells + 1), np.asarray(sing), np.asarray(brk)]))
+        t_lo, t_hi, sing, brk = _t_layout(m, f)
+        cuts, flags = _cuts(t_lo, t_hi, sing, brk)
+        edges = np.unique(np.concatenate([np.linspace(t_lo, t_hi, cells + 1), cuts]))
         qv = q.value
 
         def phi(t):
@@ -110,13 +111,13 @@ class LqTable:
                 return np.abs(np.asarray(f(m.inv_cdf(t)), float)) ** qv
 
         vals, _ = gk_panels(phi, edges[:-1], edges[1:])
-        for s in sing:
+        for s in (c for c, singular in zip(cuts, flags) if singular):
             j = int(np.searchsorted(edges, s))
             # Redo the (at most two) cells meeting the singular edge.
             if j > 0:
-                vals[j - 1] = _ladder(phi, s, edges[j - 1], 1e-12)[0]
+                vals[j - 1] = _ladder(phi, s, edges[j - 1], 1e-12)
             if j < len(edges) - 1:
-                vals[j] = _ladder(phi, s, edges[j + 1], 1e-12)[0]
+                vals[j] = _ladder(phi, s, edges[j + 1], 1e-12)
         self.m = m
         self.f = f
         self.q = q

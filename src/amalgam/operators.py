@@ -14,13 +14,14 @@ The potential K f(x) = int k(x - y) f(y) dmu(y) integrates in measure
 coordinates with the panel layout split at x, at the support edges and
 at the declared singular points of f, grading dyadically toward each
 singular endpoint.  Non-decaying graded sums raise DivergenceError.
-potential() integrates one point adaptively.  potential_profile() uses a
-fixed layout per point and groups the points by layout template: x only
-moves the cut at t_x = F(x), so all points outside the support share one
-layout, and points inside one segment between fixed cuts share one
-structure with t_x as a column.  Each group is evaluated in batches of
-32 points, with nodes and f values computed once for the panels that do
-not move with x.
+Both entry points take the cuts, the graded ladder, its tail and its
+divergence test from measure.  potential() integrates one point
+adaptively.  potential_profile() uses a fixed layout per point and
+groups the points by layout template: x only moves the cut at t_x =
+F(x), so all points outside the support share one layout, and points
+inside one segment between fixed cuts share one structure with t_x as a
+column.  Each group is evaluated in batches of 32 points, with nodes and
+f values computed once for the panels that do not move with x.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .functions import RealFunction, power_twist
-from .measure import (_LADDER_LEVELS, GK_WEIGHTS, DivergenceError,
-                      EvaluationError, IntervalRC, RadonMeasure, _gk_nodes,
-                      _integrate_t, lebesgue, power_measure)
-from .norms import Exponent, LqTable, _golden_max
+from .measure import (GK_WEIGHTS, DivergenceError, EvaluationError,
+                      IntervalRC, RadonMeasure, _cuts, _gk_nodes, _integrate_t,
+                      _ladder_tail, _segment_runs, lebesgue, power_measure)
+from .norms import Exponent, LqTable, _golden_max, _t_layout
 
 __all__ = [
     "Kernel",
@@ -309,65 +310,22 @@ def maximal_profile(m: RadonMeasure, f: RealFunction, q, beta,
     return out.reshape(t_xs.shape)
 
 
-def _potential_layout(m: RadonMeasure, f: RealFunction, k: Kernel):
-    t_lo, t_hi = m.cdf(f.support.a), m.cdf(f.support.b)
-    sing_f = [m.cdf(s) for s in f.singularities]
-    brk_f = [m.cdf(b) for b in f.breakpoints]
-    return t_lo, t_hi, sing_f, brk_f
-
-
 def potential(m: RadonMeasure, f: RealFunction, k: Kernel, x: float,
               tol: float = 1e-8) -> float:
     """K f(x) = int k(x - y) f(y) dmu(y) over the support of f."""
     if x in f.singularities:
         raise ValueError(f"potential evaluation at a singular point of f: x={x}")
-    t_lo, t_hi, sing_f, brk_f = _potential_layout(m, f, k)
-    t_x = m.cdf(x)
+    t_lo, t_hi, sing, brk = _t_layout(m, f)
+    # t_x is a singular cut for a singular kernel and the |x - y| kink of
+    # a bounded one; _cuts drops it when it lies outside the support.
+    (sing if k.singular_exponent is not None else brk).append(m.cdf(x))
 
     def phi(t):
         y = m.inv_cdf(t)
         with np.errstate(divide="ignore", over="ignore"):
             return np.asarray(k(x - y), float) * np.asarray(f(y), float)
 
-    sing = list(sing_f)
-    brk = list(brk_f)
-    if t_lo <= t_x <= t_hi:
-        if k.singular_exponent is not None:
-            sing.append(t_x)
-        else:
-            brk.append(t_x)   # |x - y| kink for bounded even kernels
-    val, _ = _integrate_t(phi, t_lo, t_hi, tol, sing, brk)
-    return val
-
-
-def _ladder_edges(t_sing, t_far):
-    """Dyadic panels from t_far down to the singular end t_sing.
-
-    Either end may be an array of per-point values; the panels then come
-    one row per point.
-    """
-    t_sing = np.asarray(t_sing, float)[..., None]
-    h = np.asarray(t_far, float)[..., None] - t_sing
-    scale = np.abs(h) * 2.0 ** -np.arange(_LADDER_LEVELS)
-    near = t_sing + np.sign(h) * scale / 2.0
-    far = t_sing + np.sign(h) * scale
-    return np.minimum(near, far), np.maximum(near, far)
-
-
-def _segment_runs(a, b, sing_a: bool, sing_b: bool, base: int):
-    """Panel runs (lo, hi, graded) of the segment [a, b].
-
-    Ladders grade toward singular ends and are closed by a geometric
-    tail; a segment without singular ends gets `base` equal panels.
-    """
-    if sing_a and sing_b:
-        mid = 0.5 * (a + b)
-        return [(*_ladder_edges(a, mid), True), (*_ladder_edges(b, mid), True)]
-    if sing_a or sing_b:
-        edges = _ladder_edges(a, b) if sing_a else _ladder_edges(b, a)
-        return [(*edges, True)]
-    edges = np.linspace(a, b, base + 1, axis=-1)
-    return [(edges[..., :-1], edges[..., 1:], False)]
+    return _integrate_t(phi, t_lo, t_hi, tol, sing, brk)
 
 
 def _profile_groups(t: np.ndarray, t_lo: float, t_hi: float, sing_f, brk_f,
@@ -382,9 +340,7 @@ def _profile_groups(t: np.ndarray, t_lo: float, t_hi: float, sing_f, brk_f,
     standing for t_x, the singular flags of the cuts, and the panel count
     of each segment (0 for graded ones).
     """
-    s0 = {s for s in sing_f if t_lo <= s <= t_hi}
-    cuts0 = sorted({t_lo, t_hi, *s0, *(b for b in brk_f if t_lo < b < t_hi)})
-    flags0 = [c in s0 for c in cuts0]
+    cuts0, flags0 = _cuts(t_lo, t_hi, sing_f, brk_f)
     pos = np.searchsorted(cuts0, t)           # cuts0[pos - 1] < t <= cuts0[pos]
     on_cut = np.asarray(cuts0)[np.minimum(pos, len(cuts0) - 1)] == t
     inside = (t_lo < t) & (t < t_hi) & ~on_cut
@@ -469,19 +425,11 @@ def _profile_group(m: RadonMeasure, f: RealFunction, k: Kernel,
             stop = start + nodes.shape[-2]
             if graded:
                 p = k15[:, start:stop]
-                mags = np.abs(p)
-                last = mags[:, -1]
-                tail = last > 1e-12 * np.maximum(mags.max(axis=1), 1e-300)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    rho = last / np.maximum(mags[:, -2], 1e-300)
-                    total = np.where(tail, total + p[:, -1] * rho / (1.0 - rho),
-                                     total)
-                diverging = np.flatnonzero(tail & (rho >= 0.98))
-                if diverging.size:
-                    r = diverging[0]
-                    errors.append((r, DivergenceError(
-                        "graded panel sums do not decay toward the singular "
-                        "endpoint", partial_sums=p[r].copy())))
+                rem, diverging = _ladder_tail(p, 1e-12)
+                total = total + rem
+                if diverging.any():
+                    r = int(np.argmax(diverging))
+                    errors.append((r, DivergenceError(partial_sums=p[r].copy())))
             start = stop
         out[s:s + n] = total
         if errors:
@@ -506,7 +454,7 @@ def potential_profile(m: RadonMeasure, f: RealFunction, k: Kernel,
     such point in xs.
     """
     xs = np.asarray(xs, float)
-    t_lo, t_hi, sing_f, brk_f = _potential_layout(m, f, k)
+    t_lo, t_hi, sing_f, brk_f = _t_layout(m, f)
     out = np.full(xs.shape, np.nan)
     valid = np.flatnonzero(~np.isin(xs, f.singularities))
     if t_hi <= t_lo:

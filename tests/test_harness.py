@@ -79,6 +79,9 @@ def test_parse_rejects_bad_shapes():
         parse_scenario(thm21_block(seed=1.5))
     with pytest.raises(ConfigError):
         parse_scenario(thm21_block(kappas=[0.5, -1.0]))
+    for bad in (["x"], 2, []):
+        with pytest.raises(ConfigError, match=r"^bad_kappas: field 'kappas'"):
+            parse_scenario(thm21_block(kappas=bad), name="bad_kappas")
 
 
 def test_load_scenario_reports_json_position(tmp_path):
@@ -398,3 +401,23 @@ def test_cli_sweep_jobs_do_not_change_output(tmp_path, capsys):
         outputs.append((code, capsys.readouterr().out, files))
     assert outputs[0] == outputs[1]
     assert len(outputs[0][2]) == 7     # two files per scenario plus the summary
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_sweep_goes_on_past_a_malformed_file(tmp_path, jobs, capsys):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    for stem in ("a_norms_identity", "c_covering_lebesgue"):
+        block = small_scenario_block(stem[2:])
+        (scenarios / f"{stem}.json").write_text(json.dumps(block))
+    (scenarios / "b_broken.json").write_text('{"target": "cor23",\n  "measure": }\n')
+    out = tmp_path / "out"
+    code = main(["sweep", "--dir", str(scenarios), "--out", str(out), "--jobs", jobs])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines == ["norms_identity [norm_properties] pass", "b_broken [?] error",
+                     "covering_lebesgue [covering_trials] pass"]
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [e["status"] for e in summary] == ["pass", "error", "pass"]
+    assert summary[1]["scenario"] == "b_broken" and summary[1]["target"] is None
+    assert "b_broken.json: invalid JSON at line 2" in summary[1]["reason"]
