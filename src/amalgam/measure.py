@@ -14,10 +14,10 @@ All quadrature is done in the t coordinate.  Equal-mass partitions are
 exact by construction (breakpoints are F^{-1} of an arithmetic grid),
 and integrable endpoint singularities are handled by a dyadically graded
 ladder of panels with a geometric tail estimate.  This module owns that
-core for every caller (integrate, LqTable, and potential and
-potential_profile in operators): the cuts at singular points and
-breakpoints (_cuts), the ladder panels (_ladder_edges, _segment_runs),
-and its tail and divergence test (_ladder_tail).
+core for every caller (integrate, _interval_integrals, LqTable, and
+potential and potential_profile in operators): the cuts at singular
+points and breakpoints (_cuts), the ladder panels (_ladder_edges,
+_segment_runs), and its tail and divergence test (_ladder_tail).
 """
 
 from __future__ import annotations
@@ -202,15 +202,27 @@ def _ladder_tail(panel_sums: np.ndarray, tol: float):
     Its ratio rho to the one before is < 1 for an integrable singularity
     (2^-(e+1) for t^e); rho >= 0.98 counts as diverging.  Rows without a
     tail get -0.0, which leaves any sum it is added to unchanged.
+
+    A non-finite panel counts as 0, as gk_panels reports it, unless the
+    row has grown into it: when the two panels before the first
+    non-finite one have rho >= 0.98 (or there are fewer than two), the
+    integrand overflowed and the row diverges.  A decaying row only
+    rounded a node onto the singular point.
     """
     p = np.atleast_2d(panel_sums)
-    mags = np.abs(p)
+    finite = np.isfinite(p)
+    mags = np.where(finite, np.abs(p), 0.0)
     last = mags[:, -1]
     tail = last > tol * np.maximum(mags.max(axis=1), 1e-300)
+    first = np.where(finite.all(axis=1), p.shape[1], finite.argmin(axis=1))
+    rows = np.arange(p.shape[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho = last / np.maximum(mags[:, -2], 1e-300)
         rem = np.where(tail, p[:, -1] * rho / (1.0 - rho), -0.0)
-    return rem, tail & (rho >= 0.98)
+        rho_in = (mags[rows, np.maximum(first - 1, 0)]
+                  / np.maximum(mags[rows, np.maximum(first - 2, 0)], 1e-300))
+    overflow = (first < p.shape[1]) & ((first < 2) | (rho_in >= 0.98))
+    return rem, (tail & (rho >= 0.98)) | overflow
 
 
 def _ladder(phi: Callable, t_sing: float, t_far: float, tol: float) -> float:
@@ -218,10 +230,12 @@ def _ladder(phi: Callable, t_sing: float, t_far: float, tol: float) -> float:
     ladder closed by its tail; raises DivergenceError if it diverges."""
     if t_far - t_sing == 0.0:
         return 0.0
-    vals, _ = gk_panels(phi, *_ladder_edges(t_sing, t_far))
-    rem, diverging = _ladder_tail(vals, tol)
+    vals, err = gk_panels(phi, *_ladder_edges(t_sing, t_far))
+    # gk_panels gives a non-finite panel value 0 and error inf.
+    raw = np.where(np.isinf(err), np.inf, vals)
+    rem, diverging = _ladder_tail(raw, tol)
     if diverging[0]:
-        raise DivergenceError(partial_sums=vals)
+        raise DivergenceError(partial_sums=raw)
     return float(np.sum(vals)) + rem[0]
 
 
@@ -512,6 +526,62 @@ def integrate(m: RadonMeasure, g, interval: IntervalRC, tol: float = 1e-8,
     sing_ts = [m.cdf(s) for s in singularities]
     break_ts = [m.cdf(s) for s in breakpoints]
     return _integrate_t(phi, t_lo, t_hi, tol, sing_ts, break_ts)
+
+
+def _interval_integrals(m: RadonMeasure, g, t_a: np.ndarray,
+                        t_b: np.ndarray) -> np.ndarray:
+    """int g dmu over each [t_a[i], t_b[i]) (measure coordinates) at once.
+
+    The cell edges are every interval end plus the singular points and
+    breakpoints of g (_cuts).  One Gauss-Kronrod pass covers all cells;
+    cells touching a singular point are redone by the ladder, and any
+    other cell whose error estimate exceeds tol times its value by
+    _adaptive.  Each interval is the sum of its cells.  A cell whose
+    ladder diverges or whose adaptive pass stalls is +inf, and so is
+    every interval containing it; the others stay finite.
+    """
+    tol = 1e-12   # per cell relative, so per interval for g >= 0
+    t_a, t_b = np.asarray(t_a, float), np.asarray(t_b, float)
+    sing_ts = [m.cdf(s) for s in getattr(g, "singularities", ())]
+    break_ts = [m.cdf(s) for s in getattr(g, "breakpoints", ())]
+    t_lo, t_hi = float(t_a.min()), float(t_b.max())
+    cuts, flags = _cuts(t_lo, t_hi, sing_ts, break_ts)
+    sing = np.array([c for c, s in zip(cuts, flags) if s])
+    if sing.size:
+        # F may round an end that sits on a singular point (F(0) of a
+        # custom measure is not exactly 0) to a float beside it, where
+        # g(F^-1(t)) is the pole again; such ends move onto the point.
+        ulps = 8.0 * np.finfo(float).eps * max(1.0, abs(t_lo), abs(t_hi))
+
+        def snap(t):
+            s = sing[np.abs(t[:, None] - sing).argmin(axis=1)]
+            return np.where(np.abs(t - s) <= ulps, s, t)
+
+        t_a, t_b = snap(t_a), snap(t_b)
+    edges = np.unique(np.concatenate([t_a, t_b, cuts]))
+    lo, hi = edges[:-1], edges[1:]
+    sing_lo, sing_hi = np.isin(lo, sing), np.isin(hi, sing)
+
+    def phi(t):
+        with np.errstate(over="ignore"):   # overflow reads as divergence
+            return np.asarray(g(m.inv_cdf(t)), float)
+
+    vals, err = gk_panels(phi, lo, hi)
+    for i in np.flatnonzero(sing_lo | sing_hi | (err > tol * np.abs(vals))):
+        try:
+            if sing_lo[i] or sing_hi[i]:
+                vals[i] = sum(_ladder(phi, s, far, tol) for s, far in
+                              _ladder_ends(lo[i], hi[i], sing_lo[i], sing_hi[i]))
+            else:
+                vals[i] = _adaptive(phi, lo[i], hi[i], tol)
+        except QuadratureError:   # DivergenceError included
+            vals[i] = np.inf
+    # Each interval sums its own cells rather than differencing a running
+    # total: a difference of prefix sums loses the relative accuracy of a
+    # small interval that lies beyond large cells.
+    ja, jb = np.searchsorted(edges, t_a), np.searchsorted(edges, t_b)
+    sums = np.add.reduceat(np.append(vals, 0.0), np.ravel([ja, jb], order="F"))
+    return np.where(jb > ja, sums[::2], 0.0)
 
 
 def partition(m: RadonMeasure, x0: float, r: float, window: IntervalRC) -> Partition:

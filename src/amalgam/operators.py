@@ -418,8 +418,7 @@ def _profile_group(m: RadonMeasure, f: RealFunction, k: Kernel,
         # Same arithmetic as gk_panels: one (panels, 15) product per point.
         with np.errstate(invalid="ignore"):
             k15 = half * (vals @ GK_WEIGHTS)
-        k15 = np.where(np.isfinite(k15), k15, 0.0)
-        total = k15.sum(axis=1)
+        total = np.where(np.isfinite(k15), k15, 0.0).sum(axis=1)
         start = 0
         for nodes, _, _, _, graded in parts:
             stop = start + nodes.shape[-2]

@@ -7,10 +7,18 @@ operationalized two ways: an interval whose defining integral diverges
 pushes the constant to inf, and growth of the per-scale maxima without
 saturation sets the `diverging` flag.
 
+The interval integrals come from one table per factor (w, w^-e, v^theta
+and so on): the interval ends and the singular points and breakpoints of
+the factor cut the line into cells, each cell is integrated once, and
+each interval sums its cells (measure._interval_integrals).  A cell
+whose integral diverges makes exactly the intervals containing it
+infinite.
+
 Subset-based checks (reverse Holder, the epsilon-delta form of A_inf)
 draw E as unions of at most four subintervals of I, with mass fractions
 stratified so both the small-subset and whole-interval regimes appear.
-All sampling is deterministic given the sampler seed.
+All sampling is deterministic given the sampler seed; every subset is
+drawn before the one table that serves all of them is built.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .functions import RealFunction, power_function, table_function
-from .measure import (DivergenceError, IntervalRC, QuadratureError,
-                      RadonMeasure, integrate, make_interval, partition)
+from .measure import (IntervalRC, QuadratureError, RadonMeasure,
+                      _interval_integrals, make_interval, partition)
 from .norms import Exponent
 
 __all__ = [
@@ -133,10 +141,18 @@ def default_interval_family(m: RadonMeasure, span_mass: float = 32.0,
     return fam
 
 
+def _t_ends(m: RadonMeasure, family: Sequence[IntervalRC]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """F at the left and at the right ends of the family's intervals."""
+    if len(family) == 0:
+        raise ValueError("interval family is empty")
+    t = np.asarray(m.cdf(np.array([(I.a, I.b) for I in family]).ravel()), float)
+    return t[0::2], t[1::2]
+
+
 def _check_positive(m: RadonMeasure, w: RealFunction,
-                    family: Sequence[IntervalRC]) -> None:
-    t_lo = min(m.cdf(I.a) for I in family)
-    t_hi = max(m.cdf(I.b) for I in family)
+                    t_a: np.ndarray, t_b: np.ndarray) -> None:
+    t_lo, t_hi = float(t_a.min()), float(t_b.max())
     ts = t_lo + (t_hi - t_lo) * (np.arange(2048) + 0.5) / 2048.0
     vals = np.asarray(w(m.inv_cdf(ts)), float)
     if np.any(vals < 0):
@@ -145,26 +161,39 @@ def _check_positive(m: RadonMeasure, w: RealFunction,
         raise ValueError("weight vanishes on part of the scanned window")
 
 
-def _avg(m: RadonMeasure, g: RealFunction, I: IntervalRC) -> float:
-    return integrate(m, g, I) / I.mass
+def _averages(m: RadonMeasure, g: RealFunction, t_a: np.ndarray,
+              t_b: np.ndarray) -> np.ndarray:
+    """Average of g over each interval, +inf where its integral diverges."""
+    return _interval_integrals(m, g, t_a, t_b) / (t_b - t_a)
 
 
-def _ess_sup(m: RadonMeasure, g, I: IntervalRC, n: int = 257) -> float:
-    t_a, t_b = m.cdf(I.a), m.cdf(I.b)
+def _ess_sups(m: RadonMeasure, g, family: Sequence[IntervalRC],
+              n: int = 257) -> np.ndarray:
+    """Sampled essential sup of g over each interval: the max at n
+    midpoints.  The ends take F one at a time, so the points are those
+    of the interval alone (F of an array may round apart in the last
+    place)."""
+    t = np.array([(m.cdf(I.a), m.cdf(I.b)) for I in family])
+    t_a, t_b = t[:, :1], t[:, 1:]
     ts = t_a + (t_b - t_a) * (np.arange(n) + 0.5) / n
     with np.errstate(divide="ignore", over="ignore"):
-        return float(np.max(np.asarray(g(m.inv_cdf(ts)), float)))
+        vals = np.asarray(g(m.inv_cdf(ts.ravel())), float)
+    return np.max(vals.reshape(ts.shape), axis=1)
 
 
-def _scan(m: RadonMeasure, family: Sequence[IntervalRC],
-          value_of) -> WeightConditionResult:
+def _product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Per-interval product of the two factors; 0 * inf (the weight
+    vanishes where its negative power diverges) counts as inf."""
+    with np.errstate(invalid="ignore"):
+        out = first * second
+    return np.where(np.isnan(out), np.inf, out)
+
+
+def _scan(family: Sequence[IntervalRC],
+          values: np.ndarray) -> WeightConditionResult:
     best, best_I = -np.inf, None
     levels: dict[int, float] = {}
-    for I in family:
-        try:
-            val = value_of(I)
-        except (QuadratureError, DivergenceError):
-            val = np.inf
+    for I, val in zip(family, values.tolist()):
         key = int(round(np.log2(I.mass)))
         levels[key] = max(levels.get(key, -np.inf), val)
         if val > best:
@@ -193,20 +222,15 @@ def a_r_constant(m: RadonMeasure, w, r,
         raise ValueError("a_r_constant needs finite r >= 1")
     if interval_family is None:
         interval_family = default_interval_family(m)
-    _check_positive(m, wgt.fn, interval_family)
+    t_a, t_b = _t_ends(m, interval_family)
+    _check_positive(m, wgt.fn, t_a, t_b)
+    avg_w = _averages(m, wgt.fn, t_a, t_b)
     if r.value == 1.0:
-        w_inv = wgt.powered(-1.0)
-
-        def value_of(I):
-            return _avg(m, wgt.fn, I) * _ess_sup(m, w_inv, I)
+        second = _ess_sups(m, wgt.powered(-1.0), interval_family)
     else:
-        e = 1.0 / (r.value - 1.0)
-        w_dual = wgt.powered(-e)
-
-        def value_of(I):
-            return _avg(m, wgt.fn, I) * _avg(m, w_dual, I) ** (r.value - 1.0)
-
-    return _scan(m, interval_family, value_of)
+        w_dual = wgt.powered(-1.0 / (r.value - 1.0))
+        second = _averages(m, w_dual, t_a, t_b) ** (r.value - 1.0)
+    return _scan(interval_family, _product(avg_w, second))
 
 
 def thm21_condition(m: RadonMeasure, v, q, q1, beta,
@@ -228,22 +252,15 @@ def thm21_condition(m: RadonMeasure, v, q, q1, beta,
     theta = 1.0 / inv_theta
     if interval_family is None:
         interval_family = default_interval_family(m)
-    _check_positive(m, vw.fn, interval_family)
-    v_theta = vw.powered(theta)
+    t_a, t_b = _t_ends(m, interval_family)
+    _check_positive(m, vw.fn, t_a, t_b)
+    first = _averages(m, vw.powered(theta), t_a, t_b) ** inv_theta
     gap = q.recip - q1.recip
     if gap == 0.0:
-        v_inv = vw.powered(-1.0)
-
-        def value_of(I):
-            return _avg(m, v_theta, I) ** inv_theta * _ess_sup(m, v_inv, I)
+        second = _ess_sups(m, vw.powered(-1.0), interval_family)
     else:
-        e2 = 1.0 / gap
-        v_dual = vw.powered(-e2)
-
-        def value_of(I):
-            return _avg(m, v_theta, I) ** inv_theta * _avg(m, v_dual, I) ** gap
-
-    return _scan(m, interval_family, value_of)
+        second = _averages(m, vw.powered(-1.0 / gap), t_a, t_b) ** gap
+    return _scan(interval_family, _product(first, second))
 
 
 @dataclass(frozen=True)
@@ -281,27 +298,30 @@ class SubsetSampler:
                 yield pieces, float(np.sum(sizes) / L)
 
 
-def _weight_mass(m: RadonMeasure, w: RealFunction,
-                 pieces: Sequence[IntervalRC]) -> float:
-    return sum(integrate(m, w, piece) for piece in pieces)
-
-
 def _subset_ratios(m: RadonMeasure, w: RealFunction,
                    family: Sequence[IntervalRC], sampler: SubsetSampler,
                    max_intervals: int = 12):
+    """(mu(E)/mu(I), w(E)/w(I)) over the sampled pairs: every E is drawn
+    first, then all the w-masses come from one table of cells."""
     stride = max(1, len(family) // max_intervals)
-    out = []
+    draws = []
     for idx in range(0, len(family), stride):
-        I = family[idx]
-        w_I = _weight_mass(m, w, [I])
-        if w_I <= 0:
-            continue
         sub = replace(sampler, seed=sampler.seed + idx)
-        for pieces, frac in sub.pairs(m, I):
-            if frac <= 0:
-                continue
-            ratio = _weight_mass(m, w, pieces) / w_I
-            out.append((frac, ratio))
+        draws.append((family[idx], [(pieces, frac) for pieces, frac
+                                     in sub.pairs(m, family[idx]) if frac > 0]))
+    spans = [J for I, pairs in draws
+             for J in [I, *(p for pieces, _ in pairs for p in pieces)]]
+    masses = _interval_integrals(m, w, *_t_ends(m, spans))
+    if not np.all(np.isfinite(masses)):
+        raise QuadratureError("weight integral diverges on a sampled interval",
+                              estimate=np.inf, error_bound=np.inf)
+    it = iter(masses.tolist())
+    out = []
+    for I, pairs in draws:
+        w_I = next(it)
+        w_E = [sum(next(it) for _ in pieces) for pieces, _ in pairs]
+        if w_I > 0:
+            out += [(frac, w_e / w_I) for (_, frac), w_e in zip(pairs, w_E)]
     return out
 
 
@@ -321,7 +341,7 @@ def reverse_holder_check(m: RadonMeasure, w,
         interval_family = default_interval_family(m)
     if subset_sampler is None:
         subset_sampler = SubsetSampler(seed=0)
-    _check_positive(m, wgt.fn, interval_family)
+    _check_positive(m, wgt.fn, *_t_ends(m, interval_family))
     data = _subset_ratios(m, wgt.fn, interval_family, subset_sampler)
     xs = np.log([s for s, _ in data])
     ys = np.log([t for _, t in data])
@@ -349,7 +369,7 @@ def a_infty_epsilon_delta(m: RadonMeasure, w, eps: float,
     if subset_sampler is None:
         subset_sampler = SubsetSampler(
             seed=0, strata=(0.01, 0.03, 0.07, 0.15, 0.3, 0.5, 0.7, 0.9, 1.0))
-    _check_positive(m, wgt.fn, interval_family)
+    _check_positive(m, wgt.fn, *_t_ends(m, interval_family))
     data = sorted(_subset_ratios(m, wgt.fn, interval_family, subset_sampler))
     slack = 1.0 + 1e-9   # fp noise on exact-ratio weights like w = 1
     delta_hat = 0.0

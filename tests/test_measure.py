@@ -10,6 +10,7 @@ from amalgam.measure import (
     DivergenceError,
     IntervalRC,
     _adaptive,
+    _ladder_tail,
     custom_measure,
     gk_panels,
     growth_constant,
@@ -21,7 +22,8 @@ from amalgam.measure import (
     power_measure,
 )
 from amalgam.norms import Exponent, LqTable
-from amalgam.operators import potential, riesz_kernel, table_kernel
+from amalgam.operators import (potential, potential_profile, riesz_kernel,
+                               table_kernel)
 
 DENSITY_TABLE = [[-2.0, 0.5], [-1.0, 1.0], [0.0, 2.0], [1.0, 1.0], [2.0, 0.5]]
 
@@ -417,3 +419,39 @@ def test_divergence_partial_sums_match_reference_ladder(expo):
                 ref()
             assert np.array_equal(got.value.partial_sums, want.value.partial_sums)
             assert str(got.value) == str(want.value)
+
+
+def test_ladder_tail_reads_overflow_as_divergence():
+    # A row that grows into a non-finite panel overflowed; a decaying row
+    # with a non-finite innermost panel only rounded a node onto the
+    # singular point, and that panel counts as 0.
+    rows = np.array([[1.0, 2.0, 4.0, np.inf, np.inf],
+                     [np.inf, np.inf, np.inf, np.inf, np.inf],
+                     [1.0, np.inf, 0.5, 0.25, 0.125],
+                     [1.0, 0.5, 0.25, 0.125, np.inf],
+                     [1.0, 0.5, 0.25, 0.125, 0.0625]])
+    rem, diverging = _ladder_tail(rows, 1e-12)
+    assert diverging.tolist() == [True, True, True, False, False]
+    assert rem[3] == 0.0 and rem[4] == 0.0625
+
+
+def test_overflowing_ladder_diverges_on_every_route():
+    # |x|^-30 overflows near 0 before the ladder reaches it; the panels
+    # that overflowed used to count as 0 and leave a finite value.
+    m = lebesgue()
+    f = power_function(-30.0, (-1.0, 1.0))
+    k = riesz_kernel(0.5)
+    routes = [
+        lambda: integrate(m, power_function(-30.0, (-10.0, 10.0)),
+                          make_interval(m, 0.0, 1.0)),
+        lambda: integrate(m, power_function(-400.0, (-10.0, 10.0)),
+                          make_interval(m, 0.0, 1.0)),
+        lambda: potential(m, f, k, 2.0),
+        lambda: potential_profile(m, f, k, np.array([2.0, -3.0])),
+        lambda: LqTable(m, f, Exponent.of(1.0)),
+    ]
+    with np.errstate(over="ignore"):
+        for route in routes:
+            with pytest.raises(DivergenceError) as got:
+                route()
+            assert not np.all(np.isfinite(got.value.partial_sums))
