@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -82,6 +83,14 @@ def parse_kernel_spec(text: str) -> dict:
 
 def parse_weight_spec(text: str) -> dict:
     return _spec_from_string(text, "weight", {"one": [], "power": ["b"]})
+
+
+def finite(text: str) -> float:
+    """argparse type: a float other than nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _print_value(v: float):
@@ -233,14 +242,14 @@ def build_parser() -> _Parser:
     p.add_argument("--function", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=finite, required=True)
     p.set_defaults(fn=_cmd_maximal)
 
     p = sub.add_parser("potential", help="kernel potential at a point")
     p.add_argument("--measure", required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--kernel", required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=finite, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_potential)
 

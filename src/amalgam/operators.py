@@ -164,7 +164,14 @@ def maximal(m: RadonMeasure, f: RealFunction, q, beta, x: float,
 
     A lower bound by construction, up to the qth-mean table error
     (about 1e-8 relative on very short intervals); refine=True polishes
-    the grid argmax coordinate-wise in (log u, log v).
+    the grid argmax coordinate-wise in (log u, log v), for at most 3
+    rounds over both coordinates.  Each step scans 96 points in one
+    mass_between call, then golden-sections around the best.  The powers
+    are taken point by point as numpy scalar (libm) powers, because
+    array ** can round apart in the last place, so every value is the
+    one the point would get on its own.  A round in which neither
+    coordinate improves leaves the state as it found it, and the next
+    round would repeat it exactly: refinement stops there.
     """
     q, beta = Exponent.of(q), Exponent.of(beta)
     if q.recip < beta.recip:
@@ -193,33 +200,48 @@ def maximal(m: RadonMeasure, f: RealFunction, q, beta, x: float,
     # noise, which would let averages exceed their true sup.
     span = float(table.t_edges[-1] - table.t_edges[0])
     size_floor = (abs(t_x) + span) * 1e-9
+    edges, cum = table.t_edges, table.cum
 
-    def g(uu, vv):
-        return float(_candidate_value(table, t_x, uu, vv, expo, rq))
+    def scan(uu, vv):
+        # Candidate values along arrays of (u, v), powers element by element.
+        d = table.mass_between(t_x - uu, t_x + vv)
+        return np.array([mm ** expo * dd ** rq for mm, dd in zip(uu + vv, d)])
+
+    def point(uu, vv):
+        c0, c1 = np.interp(np.array((t_x - uu, t_x + vv)), edges, cum)
+        return float((uu + vv) ** expo * max(c1 - c0, 0.0) ** rq)
 
     for _ in range(3):
+        moved = False
         for which in (0, 1):
             cur = (u0, v0)[which]
             lo = np.log(max(cur * 1e-8, size_floor))
             hi = np.log(max(cur * 16.0, size_floor * 32.0))
-            fn = (lambda w: g(np.exp(w), v0)) if which == 0 else \
-                 (lambda w: g(u0, np.exp(w)))
-            w_best, f_best = _scan_then_golden(fn, lo, hi)
+            if which == 0:
+                w_best, f_best = _scan_then_golden(
+                    lambda ws: scan(np.exp(ws), v0),
+                    lambda w: point(np.exp(w), v0), lo, hi)
+            else:
+                w_best, f_best = _scan_then_golden(
+                    lambda ws: scan(u0, np.exp(ws)),
+                    lambda w: point(u0, np.exp(w)), lo, hi)
             if f_best > best:
-                best = f_best
+                best, moved = f_best, True
                 if which == 0:
                     u0 = float(np.exp(w_best))
                 else:
                     v0 = float(np.exp(w_best))
+        if not moved:
+            break
     return best
 
 
-def _scan_then_golden(fn, lo, hi, scan: int = 96):
+def _scan_then_golden(scan_fn, fn, lo, hi, scan: int = 96):
     # Dense scan first: the objective can sit on a flat zero plateau
     # (candidate interval missing the support entirely), where golden
-    # section alone stalls.
+    # section alone stalls.  scan_fn values the whole scan, fn one point.
     ws = np.linspace(lo, hi, scan)
-    vals = np.array([fn(w) for w in ws])
+    vals = scan_fn(ws)
     j = int(np.argmax(vals))
     a = ws[max(j - 1, 0)]
     b = ws[min(j + 1, scan - 1)]
@@ -231,18 +253,18 @@ def _scan_then_golden(fn, lo, hi, scan: int = 96):
 
 def _maximal_sup_kind(m: RadonMeasure, f: RealFunction, beta: Exponent,
                       t_x: float, query: MaximalQuery) -> float:
-    # q = inf: candidate value is mu(I)^(1/beta) * sup_I |f| (sampled sup).
-    best = 0.0
+    # q = inf: candidate value is mu(I)^(1/beta) * sup_I |f| (sampled sup),
+    # every (mass, fraction) candidate's samples in one block.
+    masses = np.asarray(query.mass_grid, float)[:, None]
     fracs = query.fractions()
     samples = (np.arange(257) + 0.5) / 257.0
-    for M in query.mass_grid:
-        for fr in fracs:
-            lo, hi = t_x - fr * M, t_x + (1.0 - fr) * M
-            ts = lo + (hi - lo) * samples
-            with np.errstate(divide="ignore", over="ignore"):
-                s = float(np.max(np.abs(np.asarray(f(m.inv_cdf(ts)), float))))
-            best = max(best, M ** beta.recip * s)
-    return best
+    lo, hi = t_x - fracs * masses, t_x + (1.0 - fracs) * masses
+    ts = lo[..., None] + (hi - lo)[..., None] * samples
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.max(np.abs(np.asarray(f(m.inv_cdf(ts)), float)), axis=-1)
+    coef = np.array([M ** beta.recip for M in query.mass_grid])
+    # fmax skips a NaN candidate, as max(best, candidate) does.
+    return float(np.fmax.reduce(coef[:, None] * s, axis=None, initial=0.0))
 
 
 def maximal_profile(m: RadonMeasure, f: RealFunction, q, beta,

@@ -264,6 +264,19 @@ def test_cli_potential(capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(4.0, rel=1e-5)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [
+    ["maximal", "--measure", "lebesgue", "--function", "indicator:0:1",
+     "--q", "1", "--beta", "inf"],
+    ["potential", "--measure", "lebesgue", "--function", "indicator:-1:1",
+     "--kernel", "riesz:0.5"]], ids=["maximal", "potential"])
+def test_cli_rejects_non_finite_x(command, value, capsys):
+    assert main([*command, f"--x={value}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and "--x" in captured.err
+
+
 def test_cli_weight(capsys):
     code = main(["weight", "--measure", "lebesgue", "--weight", "one", "--r", "2"])
     assert code == 0

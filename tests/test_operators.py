@@ -11,7 +11,8 @@ from amalgam.functions import (RealFunction, indicator, power_function, scaled,
                                table_function, tent)
 from amalgam.measure import (DivergenceError, EvaluationError, IntervalRC,
                              custom_measure, gk_panels, lebesgue, power_measure)
-from amalgam.norms import Exponent, LqTable
+from amalgam import operators
+from amalgam.norms import Exponent, LqTable, _golden_max
 from amalgam.operators import (
     MaximalQuery,
     default_mass_grid,
@@ -533,3 +534,185 @@ def test_maximal_profile_mass_grid_list_matches_array():
                                                  np.array(grid), 17, table)
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(got, ref, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# pointwise maximal against the one-point-at-a-time refinement
+
+
+def _reference_candidate_value(table, t_x, u, v, expo, rq):
+    mass = u + v
+    lq = table.mass_between(t_x - u, t_x + v) ** rq
+    return mass ** expo * lq
+
+
+def _reference_maximal(m, f, q, beta, x, query=None, refine=True, table=None):
+    """maximal() with every refinement point valued on its own, always
+    3 rounds."""
+    q, beta = Exponent.of(q), Exponent.of(beta)
+    if query is None:
+        query = default_query(m, f, x)
+    t_x = m.cdf(x)
+    expo = beta.recip - q.recip
+    if q.is_inf:
+        return _reference_maximal_sup_kind(m, f, beta, t_x, query)
+    if table is None:
+        table = LqTable(m, f, q)
+    rq = 1.0 / q.value
+    fracs = query.fractions()
+    M = query.mass_grid[:, None]
+    u = M * fracs[None, :]
+    v = M - u
+    vals = _reference_candidate_value(table, t_x, u, v, expo, rq)
+    j = int(np.argmax(vals))
+    best = float(vals.flat[j])
+    if not refine or best == 0.0:
+        return best
+    u0, v0 = float(u.flat[j]), float(v.flat[j])
+    span = float(table.t_edges[-1] - table.t_edges[0])
+    size_floor = (abs(t_x) + span) * 1e-9
+
+    def g(uu, vv):
+        return float(_reference_candidate_value(table, t_x, uu, vv, expo, rq))
+
+    for _ in range(3):
+        for which in (0, 1):
+            cur = (u0, v0)[which]
+            lo = np.log(max(cur * 1e-8, size_floor))
+            hi = np.log(max(cur * 16.0, size_floor * 32.0))
+            fn = (lambda w: g(np.exp(w), v0)) if which == 0 else \
+                 (lambda w: g(u0, np.exp(w)))
+            w_best, f_best = _reference_scan_then_golden(fn, lo, hi)
+            if f_best > best:
+                best = f_best
+                if which == 0:
+                    u0 = float(np.exp(w_best))
+                else:
+                    v0 = float(np.exp(w_best))
+    return best
+
+
+def _reference_scan_then_golden(fn, lo, hi, scan=96):
+    ws = np.linspace(lo, hi, scan)
+    vals = np.array([fn(w) for w in ws])
+    j = int(np.argmax(vals))
+    a = ws[max(j - 1, 0)]
+    b = ws[min(j + 1, scan - 1)]
+    w, fw = _golden_max(fn, a, b)
+    if fw >= vals[j]:
+        return w, fw
+    return ws[j], float(vals[j])
+
+
+def _reference_maximal_sup_kind(m, f, beta, t_x, query):
+    best = 0.0
+    fracs = query.fractions()
+    samples = (np.arange(257) + 0.5) / 257.0
+    for M in query.mass_grid:
+        for fr in fracs:
+            lo, hi = t_x - fr * M, t_x + (1.0 - fr) * M
+            ts = lo + (hi - lo) * samples
+            with np.errstate(divide="ignore", over="ignore"):
+                s = float(np.max(np.abs(np.asarray(f(m.inv_cdf(ts)), float))))
+            best = max(best, M ** beta.recip * s)
+    return best
+
+
+POINTWISE_FUNCTIONS = [*MAXIMAL_FUNCTIONS, ZERO]
+POINTWISE_EXPONENTS = [(q, beta) for q in (1, 1.5, 2)
+                       for beta in (2, 4, math.inf)] + [(math.inf, math.inf)]
+
+
+def _pointwise_points(f):
+    """Both sides off the support, its edges, inside it and its breakpoints."""
+    a, b = f.support.a, f.support.b
+    return [a - 3.0, a, 0.5 * (a + b), b, b + 0.7,
+            *sorted(set(f.breakpoints) | set(f.singularities) - {a, b})]
+
+
+@pytest.mark.parametrize("f", POINTWISE_FUNCTIONS, ids=lambda f: f.label)
+@pytest.mark.parametrize("m", PROFILE_MEASURES, ids=repr)
+def test_maximal_matches_reference(m, f):
+    for q, beta in POINTWISE_EXPONENTS:
+        table = None if math.isinf(q) else LqTable(m, f, Exponent.of(q))
+        for x in _pointwise_points(f):
+            got = maximal(m, f, q, beta, x, table=table)
+            assert got == _reference_maximal(m, f, q, beta, x, table=table)
+
+
+@pytest.mark.parametrize("q, beta", [(1, 4), (2, math.inf), (math.inf, math.inf)])
+def test_maximal_unrefined_and_hand_query_match_reference(q, beta):
+    m, f = power_measure(0.4), tent(-1.0, 1.5)
+    hand = np.array([3.0, 1e-4, 0.05, 0.7, 40.0, 0.05, 2e3])
+    for x in (-2.0, 0.2, 1.5):
+        for query in (None, MaximalQuery(x, hand, split_count=5),
+                      MaximalQuery(x, hand[:1], split_count=1)):
+            for refine in (True, False):
+                got = maximal(m, f, q, beta, x, query=query, refine=refine)
+                want = _reference_maximal(m, f, q, beta, x, query=query,
+                                          refine=refine)
+                assert got == want
+
+
+def test_farfield_matches_reference(monkeypatch):
+    k = riesz_kernel(0.5)
+    cases = [(LEB, indicator(-1.0, 1.0), (1, 2, -3.0, -1.0, 1.0, 3.0, 10.0)),
+             (LEB, tent(-1.0, 1.0), (1.5, 4, -3.0, -1.0, 1.0, 3.0, -7.5)),
+             (power_measure(0.4), indicator(-1.0, 1.0),
+              (1, 2, -8.0, -1.0, 1.0, 8.0, 12.0))]
+    for m, f, args in cases:
+        got = farfield_bound_check(m, f, *args, k)
+        with monkeypatch.context() as mp:
+            mp.setattr(operators, "maximal", _reference_maximal)
+            want = farfield_bound_check(m, f, *args, k)
+        assert got == want and got[1] > 0.0
+
+
+
+def test_maximal_sup_kind_skips_nan_candidates():
+    # Intervals reaching x >= 0.5 sample NaN and are skipped, not propagated.
+    f = RealFunction(eval=lambda x: np.where(x < 0.5, np.abs(x), np.nan),
+                     support=IntervalRC(-1.0, 1.0), label="nan-right")
+    for x in (-2.0, -0.3, 0.2, 0.7, 3.0):
+        got = maximal(power_measure(0.4), f, math.inf, math.inf, x)
+        assert got == _reference_maximal(power_measure(0.4), f, math.inf,
+                                         math.inf, x)
+        assert np.isfinite(got)
+
+@pytest.fixture
+def maximal_work(monkeypatch):
+    """Counts of the vector scan calls and the single-point evaluations."""
+    counts = {"scans": 0, "points": 0}
+    inner = operators._scan_then_golden
+
+    def counted(scan_fn, fn, lo, hi):
+        def scan(ws):
+            counts["scans"] += 1
+            return scan_fn(ws)
+
+        def point(w):
+            counts["points"] += 1
+            return fn(w)
+
+        return inner(scan, point, lo, hi)
+
+    monkeypatch.setattr(operators, "_scan_then_golden", counted)
+    return counts
+
+
+def test_maximal_work_count(maximal_work):
+    m, f = power_measure(0.4), tent(-1.0, 1.5)
+    for x in (-2.0, 0.2, 1.5, 4.0):
+        maximal_work.update(scans=0, points=0)
+        got = maximal(m, f, 1, 4, x)
+        assert 0 < maximal_work["scans"] <= 6
+        assert maximal_work["points"] <= 6 * 62
+        assert got == _reference_maximal(m, f, 1, 4, x)
+
+
+def test_maximal_early_stop_keeps_three_round_value(maximal_work):
+    # q = beta: the widest grid interval already holds all of |f|_2, so
+    # no step of the first round improves and refinement stops there.
+    got = maximal(LEB, tent(-1.0, 1.5), 2, 2, 2.0)
+    assert maximal_work == {"scans": 2, "points": 2 * 62}
+    assert got == _reference_maximal(LEB, tent(-1.0, 1.5), 2, 2, 2.0)
