@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .harness import (ConfigError, HypothesisRejected, NumericalFailure,
@@ -89,6 +89,14 @@ def finite(text: str) -> float:
     """argparse type: a float other than nan and +-inf."""
     value = float(text)
     if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
         raise ValueError(text)
     return value
 
@@ -186,8 +194,6 @@ def _cmd_sweep(args) -> int:
         paths.extend(sorted(Path(args.dir).glob("*.json")))
     if not paths:
         raise ConfigError("sweep needs --scenario files or --dir")
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
     run = partial(_sweep_one, seed=args.seed, tol=args.tol,
                   grid_scale=args.grid_scale)
     pool = None
@@ -263,14 +269,14 @@ def build_parser() -> _Parser:
     p.add_argument("--measure", default="lebesgue")
     p.add_argument("--random", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=40)
+    p.add_argument("--count", type=positive_int, default=40)
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("verify", help="run one scenario file")
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--grid-scale", type=int, default=1)
+    p.add_argument("--grid-scale", type=positive_int, default=1)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=_cmd_verify)
 
@@ -279,17 +285,23 @@ def build_parser() -> _Parser:
     p.add_argument("--dir", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--grid-scale", type=int, default=1)
+    p.add_argument("--grid-scale", type=positive_int, default=1)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=positive_int, default=1,
                    help="verify this many scenarios at once, in worker processes")
     p.set_defaults(fn=_cmd_sweep)
     return top
 
 
+@cache
+def _parser() -> _Parser:
+    """build_parser(), built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

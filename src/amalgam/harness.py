@@ -4,17 +4,17 @@ A scenario is a JSON block naming a target inequality plus the measure,
 function family, weight, kernel and exponents it should be tested with.
 Each target has a gate, which checks the hypothesis block (bad
 parameters are rejected before any numerics) and builds the measure,
-kernel and grids, and an evaluator, which turns one function into rows:
-both sides of the inequality over a lambda grid.  One driver owns the
-rest: the family loop, the homogeneity probe, the empirical constant,
-the argmax witness and the verdict.  Reports serialize
-deterministically, so two runs with the same scenario and seed are
-byte-identical.
+kernel and grids, and an evaluator, which turns one function into rows.
+One driver owns the rest: the family loop, the homogeneity probe, the
+empirical constant, the argmax witness and the verdict.  Reports
+serialize deterministically, so two runs with the same scenario and
+seed are byte-identical.
 
 Level sets of the sampled operators are measured by counting cells of a
 midpoint grid in measure coordinates; weighted measures replace the
-count with per-cell masses of the weight.  Grid densities are knobs
-recorded in the report, not hidden constants.
+count with per-cell masses of the weight.  A supremum over lambda of
+lambda^k times a level-set measure is taken exactly, at the sampled
+values of the operator (see _levels).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ TARGETS = ("thm21_part1", "thm21_part2", "cor23", "cor24", "thm31_goodlambda",
            "norm_properties", "covering_trials")
 
 DEFAULT_SAMPLES = 4096
-DEFAULT_LAMBDA_COUNT = 64
 DEFAULT_WINDOW_MASS = 8.0
 DEFAULT_KAPPAS = (0.5, 1.0, 2.0)
 DEFAULT_STABILITY_TOL = 0.2
@@ -89,7 +88,7 @@ def _le(*vals: float) -> bool:
 
 
 _ALLOWED_KEYS = {"name", "notes", "target", "measure", "functions", "weight",
-                 "kernel", "exponents", "lambda_grid", "samples", "window_mass",
+                 "kernel", "exponents", "samples", "window_mass",
                  "kappas", "tolerances", "seed", "options"}
 
 
@@ -103,7 +102,6 @@ class Scenario:
     weight: dict | None
     kernel: dict | None
     exponents: dict
-    lambda_count: int
     samples: int
     window_mass: float
     kappas: tuple
@@ -135,11 +133,6 @@ def parse_scenario(block: dict, name: str = "scenario") -> Scenario:
              f"field {key!r} must be a spec object")
     exponents = block.get("exponents", {})
     need(isinstance(exponents, dict), "field 'exponents' must be an object")
-    lam = block.get("lambda_grid", {})
-    need(isinstance(lam, dict), "field 'lambda_grid' must be an object")
-    lambda_count = lam.get("count", DEFAULT_LAMBDA_COUNT)
-    need(isinstance(lambda_count, int) and lambda_count >= 2,
-         "lambda_grid.count must be an int >= 2")
     samples = block.get("samples", DEFAULT_SAMPLES)
     need(isinstance(samples, int) and samples >= 16,
          "field 'samples' must be an int >= 16")
@@ -158,10 +151,10 @@ def parse_scenario(block: dict, name: str = "scenario") -> Scenario:
     need(isinstance(options, dict), "field 'options' must be an object")
     return Scenario(target=target, measure=measure, functions=functions,
                     weight=block.get("weight"), kernel=block.get("kernel"),
-                    exponents=exponents, lambda_count=lambda_count,
-                    samples=samples, window_mass=float(window_mass),
-                    kappas=kappas, tolerances=tolerances, seed=seed,
-                    options=options, name=str(block.get("name", name)))
+                    exponents=exponents, samples=samples,
+                    window_mass=float(window_mass), kappas=kappas,
+                    tolerances=tolerances, seed=seed, options=options,
+                    name=str(block.get("name", name)))
 
 
 def load_scenario(path) -> Scenario:
@@ -329,36 +322,46 @@ def weight_cell_masses(m: RadonMeasure, wfn: RealFunction,
     return np.asarray(tab.mass_between(edges[:-1], edges[1:]), float)
 
 
-def lambda_grid(top: float, count: int) -> np.ndarray:
-    """Log grid over three decades below the observed peak."""
-    if not math.isfinite(top) or top <= 0.0:
-        return np.array([1.0])
-    return np.geomspace(1e-3 * top, top, count)
-
-
 def _top(prof: np.ndarray) -> float:
     vals = prof[np.isfinite(prof)]
     return float(vals.max()) if vals.size else 0.0
 
 
-def _level_sums(values: np.ndarray, prof: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Sum of values over {prof > lam} for every lam at once."""
-    mask = prof[None, :] > lams[:, None]
-    return mask.astype(float) @ values
+def _levels(values: np.ndarray, prof: np.ndarray,
+            floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct finite value v >= floor of prof, ascending, with the
+    sum of values over {prof >= v}.
+
+    That sum is the left limit S(v-) of the step function
+    S(lam) = sum of values over {prof > lam}.  So for k >= 0 and rhs
+    continuous and nonincreasing, the sup of lam^k * S(lam)^e / rhs(lam)
+    over floor <= lam <= max(prof) is the max of v^k * S(v-)^e / rhs(v)
+    over these levels.  NaN points are in no level set and +inf points
+    in every one.  A profile with no positive finite value gives the one
+    level 1, and one with none at or above the floor the one level floor."""
+    if not _top(prof) > 0.0:
+        floor = 1.0
+    order = np.argsort(-prof, kind="stable")    # NaN sorts last: in no sum
+    desc = prof[order]
+    sums = np.cumsum(values[order])
+    last = np.append(desc[1:] != desc[:-1], True)
+    sel = last & np.isfinite(desc) & (desc >= floor)
+    if not sel.any():
+        return np.array([floor]), np.array([values[prof >= floor].sum()])
+    return desc[sel][::-1], sums[sel][::-1]
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    if lhs == 0.0:
-        return 0.0
-    if not (rhs > 0.0):
-        return math.inf
-    return lhs / rhs
+def _ratio(lhs, rhs) -> np.ndarray:
+    """lhs / rhs elementwise; 0 where lhs = 0, else inf where rhs is not > 0."""
+    lhs, rhs = np.asarray(lhs, float), np.asarray(rhs, float)
+    with np.errstate(all="ignore"):
+        return np.where(lhs == 0.0, 0.0, np.where(rhs > 0.0, lhs / rhs, math.inf))
 
 
 def _row(function: str, lam, lhs: float, rhs: float, note: str = "") -> dict:
     return {"function": function, "lam": None if lam is None else float(lam),
             "lhs": float(lhs), "rhs_core": float(rhs),
-            "ratio": _ratio(float(lhs), float(rhs)), "note": note}
+            "ratio": float(_ratio(lhs, rhs)), "note": note}
 
 
 def _homog_ok(r1: float, r2: float, tol: float = 1e-9) -> bool:
@@ -429,7 +432,7 @@ def write_report(report: VerificationReport, outdir, stem: str = "report"):
     jpath = out / f"{stem}.json"
     jpath.write_text(report.to_json())
     cpath = out / f"{stem}.csv"
-    keys = ("version", "seed", "samples", "lambda_count", "grid_scale")
+    keys = ("version", "seed", "samples", "grid_scale")
     with open(cpath, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["target", "function", "lam", "lhs", "rhs_core", "ratio", "note",
@@ -456,8 +459,7 @@ def _finish(scn: Scenario, gs: int, rows: list, constant: float, details: dict,
         witness=dict(witness), rows=rows, details=details,
         meta={"version": TOOL_VERSION, "seed": scn.seed, "scenario": scn.name,
               "target": scn.target, "grid_scale": gs,
-              "samples": scn.samples * gs, "lambda_count": scn.lambda_count * gs,
-              "window_mass": scn.window_mass})
+              "samples": scn.samples * gs, "window_mass": scn.window_mass})
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +467,10 @@ def _finish(scn: Scenario, gs: int, rows: list, constant: float, details: dict,
 
 
 class _Eval(NamedTuple):
-    """f's rows on the lambda grid lams; the homogeneity probe compares
-    row `probe`; extra holds f's entries of the report details."""
+    """f's rows; the homogeneity probe compares row `probe`; extra holds
+    f's entries of the report details."""
 
     rows: list
-    lams: np.ndarray | None = None
     probe: int | None = 0
     extra: dict | None = None
 
@@ -480,7 +481,7 @@ class _Plan(NamedTuple):
 
     details: dict
     family: list
-    evaluate: Callable[[RealFunction, np.ndarray | None], _Eval]
+    evaluate: Callable[[RealFunction], _Eval]
     probe: Callable[[RealFunction, _Eval], bool] | None = None
     finish: Callable[[list], str | None] | None = None
 
@@ -496,31 +497,30 @@ def _amalgam(m: RadonMeasure, f: RealFunction, q, p, alpha, gs: int) -> float:
     return amalgam_norm(m, f, q, p, alpha, r_grid=r_grid)[0]
 
 
-def _weighted_rows(f: RealFunction, prof: np.ndarray, lams, count: int,
-                   wmass: np.ndarray, inv_theta: float, rhs) -> _Eval:
-    """(sum of wmass over {prof > lam})^(1/theta) against rhs(lam)."""
-    if lams is None:
-        lams = lambda_grid(_top(prof), count)
-    sums = _level_sums(wmass, prof, lams)
-    rows = [_row(f.label, lam, sm ** inv_theta, rhs(lam)) for lam, sm in zip(lams, sums)]
-    return _Eval(rows, lams, len(lams) // 2)
+def _weighted_rows(f: RealFunction, prof: np.ndarray, wmass: np.ndarray,
+                   inv_theta: float, rhs) -> _Eval:
+    """sup over lam of (sum of wmass over {prof > lam})^(1/theta) / rhs(lam):
+    one row, at the level that attains it."""
+    lams, sums = _levels(wmass, prof, 1e-3 * _top(prof))
+    lhs, rhs_core = sums ** inv_theta, rhs(lams)
+    i = int(np.argmax(_ratio(lhs, rhs_core)))
+    return _Eval([_row(f.label, lams[i], lhs[i], rhs_core[i])])
 
 
-def _weak_rows(f: RealFunction, prof: np.ndarray, lams, count: int,
-               cell: float, inv_s: float, rhs_notes: list) -> _Eval:
-    """lam * mu{prof > lam}^(1/s), mu in grid cells, against each (rhs, note)."""
-    if lams is None:
-        lams = lambda_grid(_top(prof), count)
-    counts = _level_sums(np.full(prof.shape, cell), prof, lams)
-    rows = [_row(f.label, lam, lam * mu ** inv_s, rhs, note)
-            for lam, mu in zip(lams, counts) for rhs, note in rhs_notes]
-    return _Eval(rows, lams, len(lams) // 2 * len(rhs_notes))
+def _weak_rows(f: RealFunction, prof: np.ndarray, cell: float, inv_s: float,
+               rhs_notes: list) -> _Eval:
+    """sup over lam of lam * mu{prof > lam}^(1/s), mu in grid cells, against
+    each (rhs, note): one row per note, at the level that attains it."""
+    lams, mus = _levels(np.full(prof.shape, cell), prof, 1e-3 * _top(prof))
+    lhs = lams * mus ** inv_s
+    i = int(np.argmax(lhs))
+    return _Eval([_row(f.label, lams[i], lhs[i], rhs, note) for rhs, note in rhs_notes])
 
 
 def run_scenario(scn: Scenario, grid_scale: int = 1,
                  check_homogeneity: bool = True) -> VerificationReport:
     """The target's gate, then its evaluator on each function.  The probe
-    reruns the first one as 2f on 2*lams, where both sides scale alike.
+    reruns the first one as 2f, where both sides scale alike.
     Side checks (bounded notes need ratio <= 1, identity rows ratio 1)
     stay out of the constant and the witness; prop41's part-2 rows count
     toward the constant, but the witness is a part-1 row."""
@@ -529,7 +529,7 @@ def run_scenario(scn: Scenario, grid_scale: int = 1,
     plan = _GATES[scn.target](scn, grid_scale)
     rows, homo = [], True
     for fi, f in enumerate(plan.family):
-        ev = plan.evaluate(f, None)
+        ev = plan.evaluate(f)
         for key, val in (ev.extra or {}).items():
             if isinstance(val, dict):
                 plan.details[key].update(val)
@@ -539,8 +539,7 @@ def run_scenario(scn: Scenario, grid_scale: int = 1,
             if plan.probe is not None:
                 homo = plan.probe(f, ev)
             else:
-                lams2 = None if ev.lams is None else 2.0 * ev.lams
-                rows2 = plan.evaluate(scaled(f, 2.0), lams2).rows
+                rows2 = plan.evaluate(scaled(f, 2.0)).rows
                 homo = _homog_ok(ev.rows[ev.probe]["ratio"], rows2[ev.probe]["ratio"])
         rows += ev.rows
     verdict = plan.finish(rows) if plan.finish is not None else None
@@ -611,23 +610,21 @@ def _thm21(scn: Scenario, gs: int) -> _Plan:
     fam = _scenario_functions(scn, alpha)
     grid = sample_grid(m, scn.window_mass, scn.samples * gs)
     wmass = weight_cell_masses(m, wgt.powered(theta), grid)
-    count = scn.lambda_count * gs
     details = {"theta": theta, "weight_condition": cond.constant,
                "weight_intervals": cond.interval_count}
     if part2:
         details.update(s=1.0 / inv_s, interpolation_exponent=expo)
 
-    def evaluate(f, lams):
+    def evaluate(f):
         fv = _fv(f, wgt)
         prof = _maximal(m, f, q, beta, grid, gs)
         if part2:
             a1 = _amalgam(m, fv, q1, p1, alpha1, gs)
             a2 = _amalgam(m, f, q, "inf", alpha, gs)
-            return _weighted_rows(f, prof, lams, count, wmass, inv_theta,
+            return _weighted_rows(f, prof, wmass, inv_theta,
                                   lambda lam: (a1 / lam) * (a2 / lam) ** expo)
         base = _lq_or_inf(m, fv, q1)
-        return _weighted_rows(f, prof, lams, count, wmass, inv_theta,
-                              lambda lam: base / lam)
+        return _weighted_rows(f, prof, wmass, inv_theta, lambda lam: base / lam)
 
     return _Plan(details, fam, evaluate)
 
@@ -654,21 +651,21 @@ def _cor23_24(scn: Scenario, gs: int) -> _Plan:
     fam = _scenario_functions(scn, alpha)
     grid = sample_grid(m, scn.window_mass, scn.samples * gs)
 
-    def evaluate(f, lams):
+    def evaluate(f):
         prof = _maximal(m, f, q, beta, grid, gs)
         if cor24:
             strong = float(np.sum(prof ** s) * grid.cell) ** inv_s
             return _Eval([_row(f.label, None, strong, _lq_or_inf(m, f, alpha))])
         rhs = _amalgam(m, f, q, p, alpha, gs)
-        return _weak_rows(f, prof, lams, scn.lambda_count * gs, grid.cell,
-                          inv_s, [(rhs, "")])
+        return _weak_rows(f, prof, grid.cell, inv_s, [(rhs, "")])
 
     return _Plan({"s": s}, fam, evaluate)
 
 
 def _thm31_goodlambda(scn: Scenario, gs: int) -> _Plan:
     """sup lam^kappa rho{Kf > lam} against the same sup for the maximal
-    function, rho = w dmu, shared lambda grid, one row per (f, kappa)."""
+    function, rho = w dmu, one row per (f, kappa).  Both sups run over
+    lam >= one shared floor, each side up to its own top."""
     q, alpha, beta = _exponent(scn, "q"), _exponent(scn, "alpha"), _exponent(scn, "beta")
     _require(_le(q.recip, 1.0), f"need q >= 1, got {q.value:g}")
     invp = q.recip - beta.recip
@@ -697,19 +694,18 @@ def _thm31_goodlambda(scn: Scenario, gs: int) -> _Plan:
     details = {"growth_constant": growth, "delta_hat": delta_hat, "eps": 0.5,
                "p": p.value, "amalgam_norms": {}}
 
-    def evaluate(f, lams):
+    def evaluate(f):
         af = _amalgam(m, f, q, p, alpha, gs)
         _require(math.isfinite(af), f"{f.label} has infinite amalgam norm")
         kprof = _potential(m, f, k, grid.xs, gs)
         mprof = _maximal(m, f, q, beta, grid, gs)
-        if lams is None:
-            lams = lambda_grid(max(_top(kprof), _top(mprof)), scn.lambda_count * gs)
-        sums_k = _level_sums(wmass, kprof, lams)
-        sums_m = _level_sums(wmass, mprof, lams)
-        rows = [_row(f.label, None, float(np.max(lams ** kappa * sums_k)),
-                     float(np.max(lams ** kappa * sums_m)), note=f"kappa={kappa:g}")
+        floor = 1e-3 * max(_top(kprof), _top(mprof))
+        lams_k, sums_k = _levels(wmass, kprof, floor)
+        lams_m, sums_m = _levels(wmass, mprof, floor)
+        rows = [_row(f.label, None, np.max(lams_k ** kappa * sums_k),
+                     np.max(lams_m ** kappa * sums_m), note=f"kappa={kappa:g}")
                 for kappa in scn.kappas]
-        return _Eval(rows, lams, 0, {"amalgam_norms": {f.label: af}})
+        return _Eval(rows, 0, {"amalgam_norms": {f.label: af}})
 
     return _Plan(details, _scenario_functions(scn, alpha), evaluate)
 
@@ -753,7 +749,7 @@ def _lem32(scn: Scenario, gs: int) -> _Plan:
             return None
         return j_lo, j_hi
 
-    def evaluate(f, lams):
+    def evaluate(f):
         kprof = _potential(m, f, k, grid.xs, gs)
         mprof = _maximal(m, f, q, beta, grid, gs)
         top = _top(kprof)
@@ -790,7 +786,7 @@ def _lem32(scn: Scenario, gs: int) -> _Plan:
                     lhs = float(np.sum(cond)) * grid.cell
                     rhs = (c / b) ** pval * mu_i
                     rows.append(_row(f.label, a, lhs, rhs, note=f"b={b:g} c={c:g}"))
-        return _Eval(rows, None, 0 if rows else None,
+        return _Eval(rows, 0 if rows else None,
                      {"intervals": intervals, "notes": notes})
 
     def probe(f, ev):
@@ -812,7 +808,7 @@ def _lem32(scn: Scenario, gs: int) -> _Plan:
         cond = (kprof2[sl] > a2 * b) & (mprof2[sl] <= a2 * c)
         lhs2 = float(np.sum(cond)) * grid.cell
         rhs2 = (c / b) ** pval * (j2 - j1) * grid.cell
-        return _homog_ok(first["ratio"], _ratio(lhs2, rhs2))
+        return _homog_ok(first["ratio"], float(_ratio(lhs2, rhs2)))
 
     def finish(rows):
         details["b_fit"] = max((iv["b_threshold"] for iv in details["intervals"]),
@@ -843,7 +839,7 @@ def _lem33(scn: Scenario, gs: int) -> _Plan:
     fam = _scenario_functions(scn)
     n_off = 5 * gs
 
-    def evaluate(f, lams):
+    def evaluate(f):
         core = m.mass(f.support)
         _require(core > 0.0, f"{f.label} has zero-mass support")
         t1, t2 = m.cdf(f.support.a), m.cdf(f.support.b)
@@ -870,7 +866,6 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int) -> _Plan:
     alpha, beta = _exponent(scn, "alpha"), _exponent(scn, "beta")
     _kernel_eta_gate(m, k, beta)
     grid = sample_grid(m, scn.window_mass, scn.samples * gs)
-    count = scn.lambda_count * gs
 
     if scn.target == "prop34":
         q, q1 = _exponent(scn, "q"), _exponent(scn, "q1")
@@ -892,12 +887,12 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int) -> _Plan:
                         "weight_condition": cond.constant,
                         "interpolation_exponent": expo})
 
-        def evaluate(f, lams):
+        def evaluate(f):
             fv = _fv(f, wgt)
             kprof = _potential(m, f, k, grid.xs, gs)
             a1 = _amalgam(m, fv, q1, p1, alpha1, gs)
             a2 = _amalgam(m, f, q, "inf", alpha, gs)
-            return _weighted_rows(f, kprof, lams, count, wmass, inv_theta,
+            return _weighted_rows(f, kprof, wmass, inv_theta,
                                   lambda lam: (a1 / lam) * (a2 / lam) ** expo)
 
     elif scn.target == "cor35":
@@ -911,14 +906,14 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int) -> _Plan:
         inv_s = alpha.recip - beta.recip
         details.update({"theta": theta, "s": 1.0 / inv_s})
 
-        def evaluate(f, lams):
+        def evaluate(f):
             a1 = _amalgam(m, f, q, p, alpha, gs)
             a2 = _amalgam(m, f, q, "inf", alpha, gs)
             mid = a1 ** (theta * inv_s) * a2 ** (1.0 - theta * inv_s)
             chain = [_row(f.label, None, a2, a1, note="weak_le_full"),
                      _row(f.label, None, mid, a1, note="chain")]
             kprof = _potential(m, f, k, grid.xs, gs)
-            ev = _weak_rows(f, kprof, lams, count, grid.cell, inv_s, [(mid, "")])
+            ev = _weak_rows(f, kprof, grid.cell, inv_s, [(mid, "")])
             return ev._replace(rows=chain + ev.rows, probe=len(chain) + ev.probe)
 
     else:
@@ -934,10 +929,10 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int) -> _Plan:
         inv_s = m_lo
         details.update({"q": q.value, "p": p.value, "s": 1.0 / inv_s})
 
-        def evaluate(f, lams):
+        def evaluate(f):
             rhs = weak_norm(m, f, alpha)
             kprof = _potential(m, f, k, grid.xs, gs)
-            return _weak_rows(f, kprof, lams, count, grid.cell, inv_s, [(rhs, "")])
+            return _weak_rows(f, kprof, grid.cell, inv_s, [(rhs, "")])
 
     return _Plan(details, _scenario_functions(scn, alpha), evaluate)
 
@@ -988,7 +983,7 @@ def _prop41_steinweiss(scn: Scenario, gs: int) -> _Plan:
         xs = -x_hi + cell * (np.arange(n) + 0.5)
         wfac = np.abs(xs) ** (-a * inv_s)
 
-        def closing(f, lams):
+        def closing(f):
             prof = _potential(leb, f, k, xs, gs)
             rhs = _lq_or_inf(leb, power_twist(f, a * (1.0 - alpha.recip)), alpha)
             with np.errstate(over="ignore"):
@@ -1008,7 +1003,7 @@ def _prop41_steinweiss(scn: Scenario, gs: int) -> _Plan:
     part2 = alpha.recip < 1.0
     grid = sample_grid(m_a, scn.window_mass, scn.samples * gs)
 
-    def evaluate(f, lams):
+    def evaluate(f):
         bigf = power_twist(f, a)
         prof = _potential(leb, f, k, grid.xs, gs)
         a1 = _amalgam(m_a, bigf, q, p, alpha, gs)
@@ -1016,8 +1011,7 @@ def _prop41_steinweiss(scn: Scenario, gs: int) -> _Plan:
         rhs_notes = [(a1 ** (theta * inv_s) * a2 ** (1.0 - theta * inv_s), "")]
         if part2:
             rhs_notes.append((weak_norm(m_a, bigf, alpha), "part2"))
-        return _weak_rows(f, prof, lams, scn.lambda_count * gs, grid.cell,
-                          inv_s, rhs_notes)
+        return _weak_rows(f, prof, grid.cell, inv_s, rhs_notes)
 
     return _Plan(details, fam, evaluate)
 
@@ -1033,7 +1027,7 @@ def _norm_properties(scn: Scenario, gs: int) -> _Plan:
     fam = _scenario_functions(scn, alpha)
     identity_mode = (q.value == p.value == alpha.value)
 
-    def evaluate(f, lams):
+    def evaluate(f):
         try:
             full = _amalgam(m, f, q, p, alpha, gs)
         except TrivialSpaceError as e:
@@ -1049,7 +1043,7 @@ def _norm_properties(scn: Scenario, gs: int) -> _Plan:
             tail_free = _amalgam(m, f, q, "inf", alpha, gs)
             rows.append(_row(f.label, None, tail_free, full, note="p_monotone"))
         rows.append(_row(f.label, None, full, weak, note="embedding"))
-        return _Eval(rows, None, len(rows) - 1)
+        return _Eval(rows, len(rows) - 1)
 
     return _Plan({"identity_mode": identity_mode}, fam, evaluate)
 

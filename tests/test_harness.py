@@ -7,18 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from amalgam import cli
 from amalgam.cli import main
 from amalgam.harness import (
     ConfigError,
     DEFAULT_KAPPAS,
-    DEFAULT_LAMBDA_COUNT,
     DEFAULT_SAMPLES,
     HypothesisRejected,
     TARGETS,
     TOOL_VERSION,
-    _level_sums,
+    _levels,
     default_family,
-    lambda_grid,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -35,7 +34,6 @@ THM21_BLOCK = {
     "exponents": {"q": 1, "alpha": 2, "beta": 4, "q1": 1, "alpha1": 1.25,
                   "p1": 1.3333333333333333},
     "samples": 256,
-    "lambda_grid": {"count": 8},
 }
 
 
@@ -50,7 +48,6 @@ def test_parse_defaults():
                           "measure": {"kind": "lebesgue"},
                           "exponents": {"q": 2, "p": 2, "alpha": 2}})
     assert scn.samples == DEFAULT_SAMPLES
-    assert scn.lambda_count == DEFAULT_LAMBDA_COUNT
     assert scn.kappas == DEFAULT_KAPPAS
     assert scn.seed == 0
     assert scn.functions is None
@@ -59,6 +56,16 @@ def test_parse_defaults():
 def test_parse_rejects_unknown_field():
     with pytest.raises(ConfigError, match="unknown field"):
         parse_scenario(thm21_block(lambda_top=3.0))
+
+
+def test_lambda_grid_is_an_unknown_field(tmp_path, capsys):
+    # Level-set sups are exact, so the former lambda_grid knob is gone.
+    with pytest.raises(ConfigError, match=r"unknown field\(s\) \['lambda_grid'\]"):
+        parse_scenario(thm21_block(lambda_grid={"count": 8}))
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(thm21_block(lambda_grid={"count": 8})))
+    assert main(["verify", "--scenario", str(p)]) == 3
+    assert "unknown field" in capsys.readouterr().err
 
 
 def test_parse_rejects_bad_target():
@@ -113,37 +120,44 @@ def test_sample_grid_layout():
     assert grid.t_lo == -8.0 and grid.t_hi == 8.0
 
 
-def test_lambda_grid_span():
-    lams = lambda_grid(5.0, 16)
-    assert lams.size == 16
-    assert lams[0] == pytest.approx(5e-3)
-    assert lams[-1] == pytest.approx(5.0)
-    assert np.all(np.diff(lams) > 0)
-    assert lambda_grid(0.0, 16).tolist() == [1.0]
+def _brute_sup(values, prof, lams, k, e):
+    """max of lam^k * (sum of values over {prof > lam})^e over lams."""
+    sums = (prof[None, :] > lams[:, None]).astype(float) @ values
+    return float(np.max(lams ** k * sums ** e))
 
 
-def test_level_sums_matches_loop():
-    rng = np.random.default_rng(5)
-    values = rng.uniform(0.0, 1.0, 50)
-    prof = rng.uniform(0.0, 2.0, 50)
-    lams = np.array([0.2, 0.9, 1.7])
-    out = _level_sums(values, prof, lams)
-    for i, lam in enumerate(lams):
-        assert out[i] == pytest.approx(values[prof > lam].sum(), rel=1e-12)
+@pytest.mark.parametrize("seed", range(4))
+def test_levels_give_the_exact_sup(seed):
+    # Ties (rounded values), zeros, NaN (in no level set) and +inf (in
+    # every level set) all appear in the profile.
+    rng = np.random.default_rng(seed)
+    n = 400
+    prof = np.round(rng.lognormal(0.0, 2.0, n), 1)
+    prof[rng.random(n) < 0.1] = 0.0
+    prof[rng.random(n) < 0.05] = np.nan
+    prof[rng.random(n) < 0.03] = np.inf
+    values = rng.uniform(0.0, 1.0, n)
+    finite = prof[np.isfinite(prof)]
+    top = finite.max()
+    floor = 1e-3 * top
+    lams, sums = _levels(values, prof, floor)
+    sampled = np.unique(finite[finite >= floor])
+    assert lams.tolist() == sampled.tolist()
+    assert _levels(values, prof, sampled[5])[0].tolist() == sampled[5:].tolist()
+    left = np.nextafter(sampled, -np.inf)
+    geometric = np.geomspace(floor, top, 10_000)
+    for k in (0.0, 0.5, 1.0, 2.0):
+        for e in (0.25, 1.0):
+            exact = float(np.max(lams ** k * sums ** e))
+            assert exact == pytest.approx(_brute_sup(values, prof, left, k, e), rel=1e-12)
+            assert exact >= _brute_sup(values, prof, geometric, k, e) * (1.0 - 1e-12)
 
 
-def test_sup_grows_with_lambda_grid():
-    # The reported sups are maxima over lambda rows; a superset of
-    # levels can only increase them.
-    rng = np.random.default_rng(3)
-    values = rng.uniform(0.0, 1.0, 200)
-    prof = rng.uniform(0.0, 3.0, 200)
-    lams1 = lambda_grid(3.0, 8)
-    lams2 = np.sort(np.concatenate([lams1, lambda_grid(2.9, 13)]))
-    for kappa in (0.5, 1.0, 2.0):
-        s1 = np.max(lams1 ** kappa * _level_sums(values, prof, lams1))
-        s2 = np.max(lams2 ** kappa * _level_sums(values, prof, lams2))
-        assert s2 >= s1 - 1e-12
+def test_levels_of_a_zero_profile():
+    values = np.ones(6)
+    for prof in (np.zeros(6), np.array([0.0, np.nan, 0.0, -1.0, 0.0, 0.0])):
+        lams, sums = _levels(values, prof, 0.0)
+        assert lams.tolist() == [1.0] and sums.tolist() == [0.0]
 
 
 def test_run_thm21_zero_function_passes():
@@ -153,17 +167,6 @@ def test_run_thm21_zero_function_passes():
     assert report.verdict == "pass"
     assert report.empirical_constant == 0.0
     assert all(row["lhs"] == 0.0 for row in report.rows)
-
-
-def test_run_thm21_top_level_set_empty():
-    report = run_scenario(parse_scenario(thm21_block()))
-    assert report.verdict == "pass"
-    by_f = {}
-    for row in report.rows:
-        by_f.setdefault(row["function"], []).append(row)
-    for rows in by_f.values():
-        top = max(rows, key=lambda r: r["lam"])
-        assert top["lhs"] == 0.0
 
 
 def test_run_reports_homogeneity():
@@ -211,6 +214,19 @@ def test_verify_stability_fields():
     assert np.isfinite(report.empirical_constant)
 
 
+@pytest.mark.parametrize("stem, bound", [
+    ("thm31_lebesgue", 0.05), ("thm31_power", 0.05), ("thm31_table_kernel", 0.05),
+    ("thm21_part2_lebesgue", 0.01), ("cor23_power", 0.01)])
+def test_exact_level_sups_settle_under_refinement(stem, bound):
+    # With exact level-set sups a doubled grid only resolves the
+    # operators better, so these constants move by under 2%.
+    scn = load_scenario(f"scenarios/{stem}.json")
+    scn.seed = 0
+    report = verify_scenario(scn)
+    assert report.homogeneity_ok is True
+    assert report.refinement_stability <= bound
+
+
 def test_cor23_dilation_spread_small():
     report = run_scenario(load_scenario("scenarios/cor23_dilation.json"))
     worst = {}
@@ -236,7 +252,7 @@ def test_write_report_files(tmp_path):
     assert data["verdict"] == "pass"
     csv_lines = (tmp_path / "report.csv").read_text().splitlines()
     assert csv_lines[0] == ("target,function,lam,lhs,rhs_core,ratio,note,"
-                            "version,seed,samples,lambda_count,grid_scale")
+                            "version,seed,samples,grid_scale")
     assert len(csv_lines) == 1 + len(report.rows)
 
 
@@ -352,6 +368,36 @@ def test_cli_seed_override_changes_meta(tmp_path):
     assert data["meta"]["seed"] == 99
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scenario", "scenarios/cor24_lebesgue.json", "--grid-scale", "0"],
+    ["sweep", "--scenario", "scenarios/cor24_lebesgue.json", "--grid-scale", "-1"],
+    ["sweep", "--scenario", "scenarios/cor24_lebesgue.json", "--jobs", "0"],
+    ["cover", "--random", "3", "--count", "0"]], ids=["verify", "sweep", "jobs", "cover"])
+def test_cli_rejects_counts_below_one(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: argument {argv[-2]}: ")
+
+
+def test_cli_parser_is_reused_without_shared_state(capsys):
+    # The sup sits below the default scan grid, so the extra scale shows.
+    with_r = ["norm", "--measure", "lebesgue", "--function", "tent:-1:1",
+              "--q", "1", "--p", "2", "--alpha", "2", "--r", "1e-4"]
+    argvs = [with_r, with_r[:-2]]
+    fresh = []
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        assert args.fn(args) == 0
+        fresh.append(capsys.readouterr().out)
+    assert fresh[0] != fresh[1]
+    for argv, out in zip(argvs, fresh):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(argvs[1]).r == []
+
+
 def test_cli_grid_scale_flag(tmp_path, capsys):
     code = main(["verify", "--scenario", "scenarios/norms_identity.json",
                  "--grid-scale", "2"])
@@ -379,7 +425,7 @@ ONE_PER_TARGET = ["thm21_part1_lebesgue", "thm21_part2_power", "cor23_power",
 
 def small_scenario_block(stem: str) -> dict:
     block = json.loads(Path(f"scenarios/{stem}.json").read_text())
-    block.update(samples=64, lambda_grid={"count": 4})
+    block.update(samples=64)
     if block["target"] == "covering_trials":
         block["options"] = {**block.get("options", {}), "trials": 3}
     return block
