@@ -30,7 +30,8 @@ def trial_block(m, ratio, trials, count, seed0):
         fam = random_family(m, count=count, seed=seed0 + trial,
                             mass_range=(lo, hi))
         selected, overlap = select_cover(fam)
-        chosen = [fam.intervals[i] for i in selected]
+        ivs = fam.intervals
+        chosen = [ivs[i] for i in selected]
         for c in fam.midpoints:
             if fam.window.a <= c < fam.window.b:
                 if not any(iv.a <= c < iv.b for iv in chosen):

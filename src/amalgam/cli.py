@@ -267,7 +267,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cover", help="random covering trials")
     p.add_argument("--measure", default="lebesgue")
-    p.add_argument("--random", type=int, required=True)
+    p.add_argument("--random", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=positive_int, default=40)
     p.set_defaults(fn=_cmd_cover)

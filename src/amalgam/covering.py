@@ -13,6 +13,9 @@ among intervals owning that midpoint the one reaching furthest right
 Overlap is measured exactly by an endpoint sweep; the overlap function
 is piecewise constant with breakpoints only at interval endpoints, so
 the sweep dominates any sample grid.
+
+A family is held as arrays (endpoints, masses, midpoints), so building,
+checking and selecting are a few vector passes over the family.
 """
 
 from __future__ import annotations
@@ -41,40 +44,67 @@ def midpoint(m: RadonMeasure, I: IntervalRC) -> float:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MidpointedFamily:
-    intervals: tuple[IntervalRC, ...]
-    midpoints: tuple[float, ...]
+    """Intervals [a[i], b[i]) of mass mass[i] with their mass midpoints."""
+
+    a: np.ndarray
+    b: np.ndarray
+    mass: np.ndarray
+    midpoints: np.ndarray
     window: IntervalRC
 
     def __len__(self):
-        return len(self.intervals)
+        return len(self.a)
+
+    @property
+    def intervals(self) -> tuple[IntervalRC, ...]:
+        return tuple(IntervalRC(a, b, mass) for a, b, mass in
+                     zip(self.a.tolist(), self.b.tolist(), self.mass.tolist()))
+
+
+def _family(m: RadonMeasure, a, b, Fa, Fb, mass, window: IntervalRC,
+            check_tol: float) -> MidpointedFamily:
+    """Midpoints of [a, b) given F(a), F(b) and the masses, with
+    make_family's checks; the first offending interval raises."""
+    c = m.inv_cdf(0.5 * (Fa + Fb))
+    left = m.cdf(c) - Fa
+    no_mass = ~(mass > 0.0)
+    escapes = ~((a < c) & (c < b))
+    misses = np.abs(left - 0.5 * mass) > check_tol * mass
+    bad = no_mass | escapes | misses
+    if bad.any():
+        i = int(np.argmax(bad))
+        I = IntervalRC(float(a[i]), float(b[i]), float(mass[i]))
+        if no_mass[i]:
+            raise ValueError(f"interval {I} has no mass to halve")
+        if escapes[i]:
+            raise ValueError(f"midpoint {float(c[i])} escapes {I}")
+        raise ValueError(f"midpoint of {I} misses half mass: {float(left[i])} "
+                         f"vs {0.5 * float(mass[i])}")
+    return MidpointedFamily(a, b, mass, c, window)
 
 
 def make_family(m: RadonMeasure, intervals, window: IntervalRC,
                 check_tol: float = 1e-9) -> MidpointedFamily:
     ivs = tuple(intervals)
-    mids = []
-    for I in ivs:
-        c = midpoint(m, I)
-        if not (I.a < c < I.b):
-            raise ValueError(f"midpoint {c} escapes {I}")
-        left = m.mass(IntervalRC(I.a, c))
-        if abs(left - 0.5 * I.mass) > check_tol * I.mass:
-            raise ValueError(f"midpoint of {I} misses half mass: {left} "
-                             f"vs {0.5 * I.mass}")
-        mids.append(c)
-    return MidpointedFamily(ivs, tuple(mids), window)
+    a = np.array([I.a for I in ivs], float)
+    b = np.array([I.b for I in ivs], float)
+    mass = np.array([I.mass for I in ivs], float)
+    return _family(m, a, b, m.cdf(a), m.cdf(b), mass, window, check_tol)
 
 
 def select_cover(fam: MidpointedFamily) -> tuple[list[int], int]:
     """Greedy cover of all in-window midpoints; returns (selected
     indices in selection order, exact max pointwise overlap)."""
-    mids = np.asarray(fam.midpoints)
+    mids, a, b = fam.midpoints, fam.a, fam.b
     n = len(mids)
-    in_window = np.array([fam.window.contains(c) for c in mids])
+    in_window = (fam.window.a <= mids) & (mids < fam.window.b)
     covered = ~in_window          # out-of-window midpoints need no cover
-    order = np.lexsort((np.arange(n), mids))
+    # Equal midpoints are covered together, so the first uncovered entry
+    # in this order is the leftmost uncovered midpoint's best owner:
+    # rightmost reach, then mass, then input order.
+    order = np.lexsort((np.arange(n), -fam.mass, -b, mids))
     selected: list[int] = []
     pos = 0
     while True:
@@ -82,38 +112,25 @@ def select_cover(fam: MidpointedFamily) -> tuple[list[int], int]:
             pos += 1
         if pos == n:
             break
-        c = mids[order[pos]]
-        owners = np.flatnonzero(mids == c)
-        # rightmost reach, then mass, then input order
-        best = min(owners, key=lambda i: (-fam.intervals[i].b,
-                                          -fam.intervals[i].mass, i))
-        selected.append(int(best))
-        I = fam.intervals[best]
-        covered |= in_window & (mids >= I.a) & (mids < I.b)
-        if not covered[order[pos]]:
+        best = int(order[pos])
+        selected.append(best)
+        covered |= in_window & (mids >= a[best]) & (mids < b[best])
+        if not covered[best]:
             raise AssertionError("selected interval misses its own midpoint")
-    for i in range(n):
-        if in_window[i] and not any(fam.intervals[j].contains(mids[i])
-                                    for j in selected):
-            raise AssertionError(f"midpoint {mids[i]} left uncovered")
-    return selected, _max_overlap([fam.intervals[j] for j in selected])
+    a_sel, b_sel = a[selected], b[selected]
+    hit = (mids[:, None] >= a_sel) & (mids[:, None] < b_sel)
+    missed = in_window & ~hit.any(axis=1)
+    if missed.any():
+        raise AssertionError(f"midpoint {mids[np.argmax(missed)]} left uncovered")
+    return selected, _max_overlap(a_sel, b_sel)
 
 
-def _max_overlap(intervals) -> int:
-    if not intervals:
-        return 0
+def _max_overlap(a, b) -> int:
     # close events sort before open events at equal coordinates, so
     # half-open adjacency [a,b) [b,c) never counts as overlap
-    events = []
-    for I in intervals:
-        events.append((I.a, 1, 1))
-        events.append((I.b, 0, -1))
-    events.sort(key=lambda e: (e[0], e[1]))
-    best = cur = 0
-    for _, _, d in events:
-        cur += d
-        best = max(best, cur)
-    return best
+    opens = np.repeat([1, 0], len(a))
+    step = 2 * opens[np.lexsort((opens, np.concatenate([a, b])))] - 1
+    return int(np.max(np.cumsum(step), initial=0))
 
 
 def random_family(m: RadonMeasure, count: int = 40, seed: int = 0,
@@ -126,11 +143,13 @@ def random_family(m: RadonMeasure, count: int = 40, seed: int = 0,
     rng = np.random.default_rng(seed)
     t_c = rng.uniform(*center_range, size=count)
     mass = rng.uniform(*mass_range, size=count)
-    ivs = []
-    for tc, ms in zip(t_c, mass):
-        a = float(m.inv_cdf(tc - ms / 2.0))
-        b = float(m.inv_cdf(tc + ms / 2.0))
-        ivs.append(make_interval(m, a, b))
+    a = m.inv_cdf(t_c - mass / 2.0)
+    b = m.inv_cdf(t_c + mass / 2.0)
+    bad = ~(np.isfinite(a) & np.isfinite(b) & (a < b))
+    if bad.any():
+        i = int(np.argmax(bad))
+        IntervalRC(float(a[i]), float(b[i]))    # raises the endpoint error
+    Fa, Fb = m.cdf(a), m.cdf(b)
     w_lo = float(m.inv_cdf(center_range[0] - window_pad))
     w_hi = float(m.inv_cdf(center_range[1] + window_pad))
-    return make_family(m, ivs, make_interval(m, w_lo, w_hi))
+    return _family(m, a, b, Fa, Fb, Fb - Fa, make_interval(m, w_lo, w_hi), 1e-9)

@@ -1054,11 +1054,30 @@ def _covering_trials(scn: Scenario, gs: int) -> VerificationReport:
     family, so it runs outside the driver."""
     m = _scenario_measure(scn)
     opts = scn.options
-    trials = int(opts.get("trials", 200)) * gs
-    count = int(opts.get("count", 40))
-    mass_range = tuple(opts.get("mass_range", (0.5, 2.0)))
-    center_range = tuple(opts.get("center_range", (-4.0, 4.0)))
-    worst = 1
+
+    def need(ok: bool, what: str):
+        if not ok:
+            raise ConfigError(f"{scn.name}: {what}")
+
+    def pair(key, default):
+        v = opts.get(key, default)
+        need(isinstance(v, (list, tuple)) and len(v) == 2 and all(
+            isinstance(x, (int, float)) and math.isfinite(x) for x in v),
+            f"options.{key} must be two finite numbers")
+        return float(v[0]), float(v[1])
+
+    unknown = sorted(set(opts) - {"trials", "count", "mass_range", "center_range"})
+    need(not unknown, f"unknown option(s) {unknown}")
+    trials, count = opts.get("trials", 200), opts.get("count", 40)
+    for key, v in (("trials", trials), ("count", count)):
+        need(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+             f"options.{key} must be an int >= 1")
+    trials *= gs
+    mass_range = pair("mass_range", (0.5, 2.0))
+    need(0.0 < mass_range[0] <= mass_range[1], "options.mass_range needs 0 < lo <= hi")
+    center_range = pair("center_range", (-4.0, 4.0))
+    need(center_range[0] < center_range[1], "options.center_range needs lo < hi")
+    worst = 0
     failure = None
     for t in range(trials):
         fam = random_family(m, count=count, seed=scn.seed + t,

@@ -200,7 +200,8 @@ def test_07_covering_trials(acceptance_log):
         for trial in range(1000):
             fam = random_family(m, count=40, seed=trial)
             selected, overlap = select_cover(fam)
-            chosen = [fam.intervals[i] for i in selected]
+            ivs = fam.intervals
+            chosen = [ivs[i] for i in selected]
             covered = all(any(iv.a <= c < iv.b for iv in chosen)
                           for c in fam.midpoints
                           if fam.window.a <= c < fam.window.b)
