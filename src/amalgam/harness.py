@@ -37,9 +37,8 @@ from .measure import (DivergenceError, QuadratureError,
                       power_measure, RadonMeasure)
 from .norms import (Exponent, LqTable, TrivialSpaceError, amalgam_norm,
                     default_r_grid, lq_norm, weak_norm)
-from .operators import (Kernel, default_mass_grid, farfield_bound_check,
-                        make_kernel, maximal_profile, potential_profile,
-                        riesz_kernel)
+from .operators import (Kernel, farfield_bound_check, make_kernel,
+                        maximal_profile, potential_profile, riesz_kernel)
 from .weights import (SubsetSampler, Weight, a_infty_epsilon_delta,
                       default_interval_family, make_weight, thm21_condition)
 
@@ -486,12 +485,6 @@ class _Plan(NamedTuple):
     finish: Callable[[list], str | None] | None = None
 
 
-def _maximal(m: RadonMeasure, f: RealFunction, q, beta, grid: SampleGrid,
-             gs: int) -> np.ndarray:
-    return maximal_profile(m, f, q, beta, grid.xs,
-                           mass_grid=default_mass_grid(m, f, grid.xs, 64 * gs))
-
-
 def _amalgam(m: RadonMeasure, f: RealFunction, q, p, alpha, gs: int) -> float:
     r_grid = default_r_grid(m.mass(f.support), 64 * gs)
     return amalgam_norm(m, f, q, p, alpha, r_grid=r_grid)[0]
@@ -617,7 +610,7 @@ def _thm21(scn: Scenario, gs: int) -> _Plan:
 
     def evaluate(f):
         fv = _fv(f, wgt)
-        prof = _maximal(m, f, q, beta, grid, gs)
+        prof = maximal_profile(m, f, q, beta, grid.xs)
         if part2:
             a1 = _amalgam(m, fv, q1, p1, alpha1, gs)
             a2 = _amalgam(m, f, q, "inf", alpha, gs)
@@ -652,7 +645,7 @@ def _cor23_24(scn: Scenario, gs: int) -> _Plan:
     grid = sample_grid(m, scn.window_mass, scn.samples * gs)
 
     def evaluate(f):
-        prof = _maximal(m, f, q, beta, grid, gs)
+        prof = maximal_profile(m, f, q, beta, grid.xs)
         if cor24:
             strong = float(np.sum(prof ** s) * grid.cell) ** inv_s
             return _Eval([_row(f.label, None, strong, _lq_or_inf(m, f, alpha))])
@@ -698,7 +691,7 @@ def _thm31_goodlambda(scn: Scenario, gs: int) -> _Plan:
         af = _amalgam(m, f, q, p, alpha, gs)
         _require(math.isfinite(af), f"{f.label} has infinite amalgam norm")
         kprof = _potential(m, f, k, grid.xs, gs)
-        mprof = _maximal(m, f, q, beta, grid, gs)
+        mprof = maximal_profile(m, f, q, beta, grid.xs)
         floor = 1e-3 * max(_top(kprof), _top(mprof))
         lams_k, sums_k = _levels(wmass, kprof, floor)
         lams_m, sums_m = _levels(wmass, mprof, floor)
@@ -751,7 +744,7 @@ def _lem32(scn: Scenario, gs: int) -> _Plan:
 
     def evaluate(f):
         kprof = _potential(m, f, k, grid.xs, gs)
-        mprof = _maximal(m, f, q, beta, grid, gs)
+        mprof = maximal_profile(m, f, q, beta, grid.xs)
         top = _top(kprof)
         rows, intervals, notes = [], [], []
         for frac in a_fracs:
@@ -797,7 +790,7 @@ def _lem32(scn: Scenario, gs: int) -> _Plan:
         a2 = 2.0 * first["lam"]
         f2 = scaled(f, 2.0)
         kprof2 = _potential(m, f2, k, grid.xs, gs)
-        mprof2 = _maximal(m, f2, q, beta, grid, gs)
+        mprof2 = maximal_profile(m, f2, q, beta, grid.xs)
         found = interval_for(kprof2, a2)
         if found is None:
             return True
@@ -1077,6 +1070,10 @@ def _covering_trials(scn: Scenario, gs: int) -> VerificationReport:
     need(0.0 < mass_range[0] <= mass_range[1], "options.mass_range needs 0 < lo <= hi")
     center_range = pair("center_range", (-4.0, 4.0))
     need(center_range[0] < center_range[1], "options.center_range needs lo < hi")
+    # t -/+ mass/2 must be two doubles, or an interval collapses to a point.
+    ulp = float(np.spacing(max(map(abs, center_range)) + mass_range[1]))
+    need(mass_range[0] > 2.0 * ulp, f"options.mass_range needs lo > {2.0 * ulp:g}, "
+         f"twice the double spacing at the centers")
     worst = 0
     failure = None
     for t in range(trials):

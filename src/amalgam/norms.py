@@ -303,13 +303,25 @@ def amalgam_norm(m: RadonMeasure, f: RealFunction, q, p, alpha,
     """Amalgam norm sup_r r^(1/alpha - 1/q) |f|_{q,p;r} and its argmax r.
 
     The scan grid is geometric; the winning scale is then polished by
-    golden section on log r between its grid neighbours.
+    golden section on log r between its grid neighbours.  At alpha = p
+    no scale is scanned: by Hoelder every scale's value is at most
+    |f|_p, and it tends to |f|_p as r -> 0, so the norm is lq_norm of f
+    over its support and the returned r is 0.0, standing for that limit.
+    (alpha = q has no such shortcut: the partition is anchored at x0, so
+    a support that straddles it stays in two blocks at every scale.)
     """
     q, p, alpha = Exponent.of(q), Exponent.of(p), Exponent.of(alpha)
     if q.recip < alpha.recip or alpha.recip < p.recip:
         raise TrivialSpaceError(
             f"amalgam space is trivial unless q <= alpha <= p "
             f"(got q={q.value:g}, alpha={alpha.value:g}, p={p.value:g})")
+    if alpha.recip == p.recip:
+        value = lq_norm(m, f, f.support, p)
+        if f.tail_bound > 0.0:
+            # A nonzero tail on an unbounded measure: the tail blocks
+            # add tail_bound to the sup, and infinitely much to a sum.
+            value = max(value, f.tail_bound) if p.is_inf else np.inf
+        return float(value), 0.0
     mass = m.mass(f.support)
     if r_grid is None:
         r_grid = default_r_grid(mass)

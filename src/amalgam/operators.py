@@ -1,14 +1,27 @@
 """Fractional maximal operator and potential-type convolution operator.
 
-The maximal operator is scanned over a two-parameter candidate family in
-measure coordinates: an interval containing x is determined by the mass
-u to the left of x and v to the right, so candidates are (total mass,
-left fraction) pairs.  Every reported value is a certified lower bound
-of the true supremum; a coordinate golden-section polish in (log u,
-log v) tightens the grid winner.  maximal_profile() shares the family
-over many points and evaluates it in reach-limited batches: per total
-mass, one block of every left fraction over the sorted points whose
-candidates can meet the support, since the others score exactly 0.
+The maximal function sup over intervals I containing x of
+mu(I)^(1/beta - 1/q) |f 1_I|_q is taken in measure coordinates, where
+an interval is [a, b] with t = F(x) inside it, its mass is b - a and
+|f 1_I|_q^q is a difference of the LqTable's cumulative integral C.
+
+maximal_profile() is exact over one family: every interval whose two
+ends lie in a set of edges made of the points' t, the midpoints between
+neighbouring points, the two ends half a spacing beyond the outer
+points, and the support ends, singular points and breakpoints of f.
+Since the length exponent 1/beta - 1/q is <= 0, cutting an interval
+back to where C moves keeps |f 1_I|_q and cannot lower the value, so
+the search runs over the edges where C moves only: for each right edge
+b a prefix max over the left edges serves every point inside the
+support, and points left or right of it take the point itself as one
+end.  The edges of a midpoint grid contain those of the grid with half
+its points, so a refined grid's family holds every coarser interval.
+
+The pointwise maximal() scans a two-parameter candidate family instead:
+an interval containing x is determined by the mass u to the left of x
+and v to the right, so candidates are (total mass, left fraction)
+pairs, and a coordinate golden-section polish in (log u, log v)
+tightens the grid winner; its value is a lower bound of the true sup.
 
 The potential K f(x) = int k(x - y) f(y) dmu(y) integrates in measure
 coordinates with the panel layout split at x, at the support edges and
@@ -56,6 +69,8 @@ __all__ = [
 # Points per vectorized evaluation in potential_profile.  A batch's node
 # arrays hold points x panels x 15 values; 32 points keep them small.
 _PROFILE_BATCH = 32
+# Values per block array of maximal_profile's edge pass (256 KB).
+_EDGE_BLOCK = 1 << 15
 
 
 @dataclass
@@ -267,21 +282,103 @@ def _maximal_sup_kind(m: RadonMeasure, f: RealFunction, beta: Exponent,
     return float(np.fmax.reduce(coef[:, None] * s, axis=None, initial=0.0))
 
 
-def maximal_profile(m: RadonMeasure, f: RealFunction, q, beta,
-                    xs: np.ndarray, mass_grid: np.ndarray | None = None,
-                    split_count: int = 17,
-                    table: LqTable | None = None) -> np.ndarray:
-    """Vectorized maximal-function lower bound over many points.
+def _profile_edges(m: RadonMeasure, f: RealFunction, table: LqTable,
+                   ts: np.ndarray) -> np.ndarray:
+    """maximal_profile's edge family in measure coordinates, ascending.
 
-    Shares one candidate family across all points so that level sets of
-    the output are consistent under refinement: for each mass M of the
-    grid, split_count intervals with u = M * fraction left of x and
-    v = M - u right of it, valued M^(1/beta - 1/q) |f 1_I|_q.  The
-    points are sorted once.  For each mass, the run of points where some
-    split meets the table's range is evaluated, all splits in one
-    (split_count, points) block.  The points outside the run would score
-    exactly 0, so the values are those of evaluating every candidate at
-    every point.
+    ts are the points' F(x), finite, ascending and distinct.  The edges
+    are the points, the midpoints between neighbours, the two ends half a
+    spacing beyond the outer points, and F of the support ends, singular
+    points and breakpoints of f.  An edge within 1e-9 (|t| + span) of the
+    one below it is dropped: over a shorter length the length power
+    would multiply the rounding noise of the table's differences.
+    """
+    t_lo, t_hi, sing, brk = _t_layout(m, f)
+    parts = [ts, [t_lo, t_hi, *sing, *brk]]
+    if ts.size > 1:
+        parts += [(ts[:-1] + ts[1:]) / 2.0,
+                  [1.5 * ts[0] - 0.5 * ts[1], 1.5 * ts[-1] - 0.5 * ts[-2]]]
+    edges = np.unique(np.concatenate(parts))
+    edges = edges[np.isfinite(edges)]
+    span = float(table.t_edges[-1] - table.t_edges[0])
+    keep = np.ones(edges.size, bool)
+    keep[1:] = np.diff(edges) > 1e-9 * (np.abs(edges[1:]) + span)
+    return edges[keep]
+
+
+def _outer_sups(s: np.ndarray, ends: np.ndarray, pts: np.ndarray,
+                k: float) -> np.ndarray:
+    """max over i of s[i] |pts - ends[i]|^k at every point, in blocks of
+    rows of at most _EDGE_BLOCK values."""
+    out = np.zeros(pts.size)
+    rows = max(1, _EDGE_BLOCK // max(pts.size, 1))
+    for i in range(0, s.size, rows):
+        d = np.abs(pts - ends[i:i + rows, None])
+        d **= k
+        d *= s[i:i + rows, None]
+        np.maximum(out, d.max(axis=0), out=out)
+    return out
+
+
+def _edge_sups(E: np.ndarray, C: np.ndarray, k: float) -> np.ndarray:
+    """S[p] = max of (C[b] - C[a]) (E[b] - E[a])^k over edges a <= p <= b,
+    a < b, for every edge p; E ascending, C nondecreasing, k <= 0.
+
+    C is flat up to edge i0 and from edge i1 on.  A shorter interval with
+    the same C-difference is worth at least as much, so an interval may
+    be cut back to [i0, i1] wherever the cut still contains p: a point
+    inside takes a, b in [i0, i1], a point left of i0 takes a = p and a
+    point right of i1 takes b = p.  The inside points take, for each
+    right edge b, the prefix max over a of that row; a block of right
+    edges is one (rows, edges) array.
+    """
+    S = np.zeros(E.size)
+    i0 = int(np.searchsorted(C, C[0], side="right")) - 1
+    i1 = int(np.searchsorted(C, C[-1], side="left"))
+    if i1 <= i0:
+        return S
+    S[:i0] = _outer_sups(C[i0 + 1:i1 + 1] - C[i0], E[i0 + 1:i1 + 1], E[:i0], k)
+    S[i1 + 1:] = _outer_sups(C[i1] - C[i0:i1], E[i0:i1], E[i1 + 1:], k)
+    rows = max(1, min(i1 - i0, _EDGE_BLOCK // (i1 + 1 - i0)))
+    below = np.tri(rows, rows, -1, dtype=bool)   # a < b in the last columns
+    upto = np.tri(rows, rows, 0, dtype=bool)     # p <= b in the last columns
+    for b0 in range(i0 + 1, i1 + 1, rows):
+        b1 = min(b0 + rows, i1 + 1)
+        n = b1 - b0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = E[b0:b1, None] - E[i0:b1]
+            d **= k
+            d *= C[b0:b1, None] - C[i0:b1]
+        tail = d[:, b0 - i0:]
+        tail[~below[:n, :n]] = 0.0
+        np.maximum.accumulate(d, axis=1, out=d)
+        tail[~upto[:n, :n]] = 0.0
+        np.maximum(S[i0:b1], d.max(axis=0), out=S[i0:b1])
+    return S
+
+
+def maximal_profile(m: RadonMeasure, f: RealFunction, q, beta,
+                    xs: np.ndarray, *, table: LqTable | None = None) -> np.ndarray:
+    """Fractional maximal function over many points, exact over an edge family.
+
+    The value at x is the sup of mu(I)^(1/beta - 1/q) |f 1_I|_q over the
+    intervals I = [a, b] with F(a) <= F(x) <= F(b) whose ends lie in one
+    set of edges in measure coordinates (_profile_edges): the points'
+    t = F(x), the midpoints between neighbouring points, the two ends half
+    a spacing beyond the outer points, and the support ends, singular
+    points and breakpoints of f.  A point on an edge lies inside the
+    interval.  The edges of a midpoint grid contain those of the grid
+    with half its points, so the refined family holds every coarser
+    interval.
+
+    With C the table's cumulative integral at the edges, an interval is
+    worth (C[b] - C[a])^(1/q) (b - a)^(1/beta - 1/q), and the exponent of
+    the length is <= 0: cutting an interval back to where C moves keeps
+    its integral and cannot lower its value (_edge_sups).  The sup is
+    compared as (C[b] - C[a]) (b - a)^(q/beta - 1), whose 1/q power it
+    is.  NaN points give NaN, infinite points the limit over unbounded
+    intervals, and a table whose total is not finite gives NaN
+    everywhere.
     """
     q, beta = Exponent.of(q), Exponent.of(beta)
     if q.is_inf:
@@ -289,47 +386,26 @@ def maximal_profile(m: RadonMeasure, f: RealFunction, q, beta,
     if q.recip < beta.recip:
         raise ValueError("maximal operator needs q <= beta")
     xs = np.asarray(xs, float)
-    if mass_grid is None:
-        mass_grid = default_mass_grid(m, f, xs)
     if table is None:
         table = LqTable(m, f, q)
-    t_xs = np.asarray(m.cdf(xs), float)
+    t_xs = np.asarray(m.cdf(xs), float).ravel()
+    out = np.full(t_xs.shape, np.nan)
+    finite = np.isfinite(t_xs)
+    if not np.isfinite(table.cum[-1]):
+        return out.reshape(xs.shape)
     expo = beta.recip - q.recip
-    rq = 1.0 / q.value
-    fracs = (np.arange(split_count) + 1.0) / (split_count + 1.0)
-    if t_xs.size == 0 or fracs.size == 0:
-        return np.zeros_like(t_xs)
-    order = np.argsort(t_xs, axis=None, kind="stable")
-    ts = t_xs.ravel()[order]                  # NaNs sort last
-    best = np.zeros_like(ts)
-    e0, e1 = table.t_edges[[0, -1]]
-    # Left of e0 the interpolated cumulative integral is exactly cum[0],
-    # right of e1 exactly cum[-1], so a candidate wholly on one side has
-    # d = 0 and value 0: the points beyond reach of every split of a mass
-    # form the two tails of ts and are skipped.  A NaN point, an infinite
-    # table total (inf - inf) or coef (inf * 0) gives NaN instead, so
-    # those evaluate every point.
-    can_skip = np.isfinite(table.cum[-1]) and not np.isnan(ts[-1])
-    for M in np.asarray(mass_grid, float):
-        coef = M ** expo
-        u = (fracs * M)[:, None]
-        v = M - u
-        lo, hi = 0, ts.size
-        if can_skip and np.isfinite(coef) and 0.0 < M < np.inf:
-            # No double lies strictly between a real number and its
-            # rounding, so t < fl(e0 - v_max) gives t + v <= e0 exactly,
-            # and t > fl(e1 + u_max) gives t - u >= e1.
-            lo = np.searchsorted(ts, e0 - v.max(), side="left")
-            hi = np.searchsorted(ts, e1 + u.max(), side="right")
-        if lo < hi:
-            t = ts[lo:hi]
-            vals = table.mass_between(t - u, t + v)
-            vals **= rq                       # coef * d ** rq, in place
-            vals *= coef
-            np.maximum(best[lo:hi], vals.max(axis=0), out=best[lo:hi])
-    out = np.empty(ts.size)
-    out[order] = best
-    return out.reshape(t_xs.shape)
+    k = 0.0 if expo == 0.0 else q.value * beta.recip - 1.0
+    if finite.any():
+        ts = np.unique(t_xs[finite])
+        E = _profile_edges(m, f, table, ts)
+        C = np.maximum.accumulate(np.interp(E, table.t_edges, table.cum))
+        S = _edge_sups(E, C, k)
+        out[finite] = S[np.searchsorted(E, t_xs[finite], side="right") - 1]
+    # An unbounded interval holds all of f: the total times inf^k.
+    out[np.isinf(t_xs)] = (table.cum[-1] - table.cum[0]) * np.inf ** k
+    if q.value != 1.0:
+        out **= q.recip
+    return out.reshape(xs.shape)
 
 
 def potential(m: RadonMeasure, f: RealFunction, k: Kernel, x: float,

@@ -30,7 +30,6 @@ from amalgam.measure import (
 )
 from amalgam.norms import Exponent, amalgam_norm, default_r_grid, lq_norm, weak_norm
 from amalgam.operators import (
-    default_mass_grid,
     maximal,
     maximal_profile,
     riesz_potential,
@@ -140,10 +139,8 @@ def test_04_maximal_oracle(acceptance_log):
     err = abs(val - oracle)
     rng = np.random.default_rng(2)
     xs = rng.uniform(-5.0, 5.0, size=100)
-    grid = default_mass_grid(LEB, f, xs)
-    base = maximal_profile(LEB, f, 1, math.inf, xs, mass_grid=grid)
-    doubled = maximal_profile(LEB, scaled(f, 2.0), 1, math.inf, xs,
-                              mass_grid=grid)
+    base = maximal_profile(LEB, f, 1, math.inf, xs)
+    doubled = maximal_profile(LEB, scaled(f, 2.0), 1, math.inf, xs)
     homog = float(np.max(np.abs(doubled - 2.0 * base) / (2.0 * base)))
     ok = err <= 1e-3 and homog <= 1e-9
     check(acceptance_log, 4, "maximal oracle + homogeneity", ok,

@@ -1,13 +1,15 @@
 """Scenario parsing, runners, reports, CLI plumbing and exit codes."""
 
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from amalgam import cli
+from amalgam import cli, harness
 from amalgam.cli import main
 from amalgam.harness import (
     ConfigError,
@@ -26,6 +28,7 @@ from amalgam.harness import (
     write_report,
 )
 from amalgam.measure import lebesgue
+from amalgam.norms import LqTable
 
 THM21_BLOCK = {
     "target": "thm21_part1",
@@ -325,10 +328,12 @@ def test_cli_verify_rejects_with_exit_2(capsys):
 
 
 def test_cli_verify_failing_verdict_exit_1(tmp_path, capsys):
+    # At q = p = alpha both sides of the identity row are lq_norm, so the
+    # row is exact; only a negative tolerance makes it fail.
     block = {"target": "norm_properties", "measure": {"kind": "lebesgue"},
              "functions": [{"kind": "indicator", "a": 0, "b": 1}],
              "exponents": {"q": 2, "p": 2, "alpha": 2},
-             "tolerances": {"identity": 1e-18}}
+             "tolerances": {"identity": -1.0}}
     p = tmp_path / "fail.json"
     p.write_text(json.dumps(block))
     code = main(["verify", "--scenario", str(p)])
@@ -382,6 +387,8 @@ COVERING_BLOCK = {"target": "covering_trials", "measure": {"kind": "lebesgue"},
     ({"mass_range": [2, 1]}, r"options\.mass_range needs 0 < lo <= hi"),
     ({"mass_range": [1, math.inf]}, r"options\.mass_range must be two finite"),
     ({"mass_range": [1]}, r"options\.mass_range must be two finite"),
+    ({"mass_range": [1e-300, 1e-300]},
+     r"options\.mass_range needs lo > 1\.77636e-15, twice the double spacing"),
     ({"center_range": [1, 1]}, r"options\.center_range needs lo < hi"),
     ({"center_range": [2, "x"]}, r"options\.center_range must be two finite"),
     ({"bogus": 1}, r"unknown option\(s\) \['bogus'\]"),
@@ -393,7 +400,8 @@ def test_covering_options_are_validated(options, match):
 
 
 def test_covering_options_config_error_exit_3(tmp_path, capsys):
-    for options in ({"trials": 0}, {"count": 0}, {"bogus": 1}):
+    for options in ({"trials": 0}, {"count": 0}, {"bogus": 1},
+                    {"mass_range": [1e-300, 1e-300]}):
         p = tmp_path / "cov.json"
         p.write_text(json.dumps({**COVERING_BLOCK, "options": options}))
         assert main(["verify", "--scenario", str(p)]) == 3
@@ -439,8 +447,9 @@ def test_cli_rejects_counts_below_one(argv, capsys):
 
 def test_cli_parser_is_reused_without_shared_state(capsys):
     # The sup sits below the default scan grid, so the extra scale shows.
-    with_r = ["norm", "--measure", "lebesgue", "--function", "tent:-1:1",
-              "--q", "1", "--p", "2", "--alpha", "2", "--r", "1e-4"]
+    # (At alpha = p no scale is scanned, so the triple has alpha < p.)
+    with_r = ["norm", "--measure", "lebesgue", "--function", "power:-0.9:0.001:1",
+              "--q", "1", "--p", "8", "--alpha", "6", "--r", "1e-4"]
     argvs = [with_r, with_r[:-2]]
     fresh = []
     for argv in argvs:
@@ -537,3 +546,47 @@ def test_cli_sweep_goes_on_past_a_malformed_file(tmp_path, jobs, capsys):
     assert [e["status"] for e in summary] == ["pass", "error", "pass"]
     assert summary[1]["scenario"] == "b_broken" and summary[1]["target"] is None
     assert "b_broken.json: invalid JSON at line 2" in summary[1]["reason"]
+
+
+def _load_layers():
+    """perfbench/layers.py, the benchmark's span tracer, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_verify_counts_profile_and_keeps_report(tmp_path, monkeypatch):
+    def report_bytes(out):
+        scn = load_scenario("scenarios/lem32_lebesgue.json")
+        write_report(verify_scenario(scn), out)
+        return [(out / name).read_bytes() for name in ("report.json", "report.csv")]
+
+    calls = []
+    profile = harness.maximal_profile
+    monkeypatch.setattr(harness, "maximal_profile",
+                        lambda *a, **k: calls.append(1) or profile(*a, **k))
+    plain = report_bytes(tmp_path / "plain")
+    monkeypatch.undo()
+
+    layers = _load_layers()
+    tracer = layers.Tracer()
+    mods = [m for name, m in sys.modules.items()
+            if name == "amalgam" or name.startswith("amalgam.")]
+    saved = [(m, dict(vars(m))) for m in mods]
+    init = LqTable.__init__
+    try:
+        layers.install(tracer)
+        traced = report_bytes(tmp_path / "traced")
+    finally:
+        LqTable.__init__ = init
+        for m, names in saved:
+            for key, val in names.items():
+                if vars(m).get(key) is not val:
+                    setattr(m, key, val)
+    stats = tracer.stats["operators.maximal_profile"]
+    assert calls and stats["calls"] == len(calls)
+    assert stats["candidates"] > 0 and stats["self_s"] > 0.0
+    assert traced == plain
+    assert harness.maximal_profile is profile

@@ -1,6 +1,7 @@
 """Exponents, Lq/weak/block/amalgam norms and their scaling laws."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,24 @@ def test_amalgam_sup_blocks():
     val, r_star = amalgam_norm(LEB, CHI01, 1, math.inf, 2)
     assert val == pytest.approx(1.0, rel=1e-3)
     assert r_star == pytest.approx(1.0, rel=0.2)
+
+
+@pytest.mark.parametrize("q, p", [(1, 2), (1.5, 3), (2, 2), (1, math.inf)])
+@pytest.mark.parametrize("f", [CHI01, tent(-1.0, 1.5)], ids=lambda f: f.label)
+def test_amalgam_alpha_equal_p_is_lq_norm(f, q, p):
+    # By Hoelder every scale is worth at most |f|_p, reached as r -> 0.
+    m = power_measure(0.4)
+    val, r_star = amalgam_norm(m, f, q, p, p)
+    assert val == lq_norm(m, f, f.support, p) and r_star == 0.0
+    for r in np.geomspace(1e-3, 8.0, 12):
+        scan = r ** (1.0 / p - 1.0 / q) * block_norm(m, f, q, p, r)
+        assert scan <= val * (1.0 + 1e-8)
+
+
+def test_amalgam_alpha_equal_p_with_a_tail():
+    tailed = replace(CHI01, tail_bound=2.0)
+    assert amalgam_norm(LEB, tailed, 1, 2, 2)[0] == math.inf
+    assert amalgam_norm(LEB, tailed, 1, math.inf, math.inf) == (2.0, 0.0)
 
 
 def test_amalgam_zero_function():

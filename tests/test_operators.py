@@ -12,7 +12,7 @@ from amalgam.functions import (RealFunction, indicator, power_function, scaled,
 from amalgam.measure import (DivergenceError, EvaluationError, IntervalRC,
                              custom_measure, gk_panels, lebesgue, power_measure)
 from amalgam import operators
-from amalgam.norms import Exponent, LqTable, _golden_max
+from amalgam.norms import Exponent, LqTable, _golden_max, lq_norm
 from amalgam.operators import (
     MaximalQuery,
     default_mass_grid,
@@ -67,9 +67,8 @@ def test_maximal_homogeneity_pointwise(x):
 def test_maximal_profile_homogeneity_random_points():
     rng = np.random.default_rng(11)
     xs = rng.uniform(-4.0, 4.0, size=100)
-    grid = default_mass_grid(LEB, CHI01, xs)
-    base = maximal_profile(LEB, CHI01, 1, math.inf, xs, mass_grid=grid)
-    doubled = maximal_profile(LEB, scaled(CHI01, 2.0), 1, math.inf, xs, mass_grid=grid)
+    base = maximal_profile(LEB, CHI01, 1, math.inf, xs)
+    doubled = maximal_profile(LEB, scaled(CHI01, 2.0), 1, math.inf, xs)
     assert np.all(np.abs(doubled - 2.0 * base) <= 1e-9 * np.maximum(doubled, 1e-300))
 
 
@@ -385,29 +384,43 @@ def test_potential_riesz_just_inside_support_edge(profile):
 
 
 # ---------------------------------------------------------------------------
-# maximal_profile against the (mass, fraction) double loop
+# maximal_profile against a brute-force sup over its edge family
 
 
-def _reference_maximal_profile(m, f, q, beta, xs, mass_grid=None,
-                               split_count=17, table=None):
-    """Every candidate over every point: one mass_between per (mass, fraction)."""
+def _edge_family(m, f, ts, span):
+    """maximal_profile's documented edges for the sorted distinct points
+    ts: the points, their midpoints, the two half-spacing ends and F of
+    the support ends, singular points and breakpoints; an edge within
+    1e-9 (|t| + span) of the one below it is dropped."""
+    marks = [f.support.a, f.support.b, *f.singularities, *f.breakpoints]
+    edges = {*ts, *(float(m.cdf(x)) for x in marks)}
+    if len(ts) > 1:
+        edges |= {*((ts[:-1] + ts[1:]) / 2.0), 1.5 * ts[0] - 0.5 * ts[1],
+                  1.5 * ts[-1] - 0.5 * ts[-2]}
+    edges = sorted(edges)
+    return np.array([e for i, e in enumerate(edges)
+                     if i == 0 or e - edges[i - 1] > 1e-9 * (abs(e) + span)])
+
+
+def _brute_maximal_profile(m, f, q, beta, xs, table=None):
+    """Every edge pair [a, b] around every finite point, valued as
+    (C(b) - C(a))^(1/q) (b - a)^(1/beta - 1/q); NaN elsewhere."""
     q, beta = Exponent.of(q), Exponent.of(beta)
-    xs = np.asarray(xs, float)
-    if mass_grid is None:
-        mass_grid = default_mass_grid(m, f, xs)
     if table is None:
         table = LqTable(m, f, q)
-    t_xs = np.asarray(m.cdf(xs), float)
-    expo = beta.recip - q.recip
-    rq = 1.0 / q.value
-    fracs = (np.arange(split_count) + 1.0) / (split_count + 1.0)
-    out = np.zeros_like(t_xs)
-    for M in mass_grid:
-        coef = M ** expo
-        for fr in fracs:
-            u = fr * M
-            vals = coef * table.mass_between(t_xs - u, t_xs + (M - u)) ** rq
-            np.maximum(out, vals, out=out)
+    t = np.asarray(m.cdf(np.asarray(xs, float)), float).ravel()
+    ok = np.isfinite(t)
+    E = _edge_family(m, f, np.unique(t[ok]),
+                     float(table.t_edges[-1] - table.t_edges[0]))
+    C = np.interp(E, table.t_edges, table.cum)
+    a, b = np.triu_indices(E.size, 1)
+    vals = np.zeros((E.size, E.size))
+    vals[a, b] = (np.maximum(C[b] - C[a], 0.0) ** (1.0 / q.value)
+                  * (E[b] - E[a]) ** (beta.recip - q.recip))
+    out = np.full(t.shape, np.nan)
+    for i in np.flatnonzero(ok):
+        p = np.searchsorted(E, t[i], side="right") - 1
+        out[i] = vals[:p + 1, p:].max()
     return out
 
 
@@ -421,119 +434,127 @@ def _maximal_points(f):
     return np.random.default_rng(7).permutation(pts)
 
 
-# |x|^-0.25: |f|^2 stays integrable against power_measure(0.4).
-MAXIMAL_FUNCTIONS = [*PROFILE_FUNCTIONS[:2], power_function(-0.25, (-1.0, 1.0))]
-MAXIMAL_EXPONENTS = [(1, 3), (1, math.inf), (1.5, 3), (1.5, math.inf),
-                     (2, 3), (2, math.inf)]
+# |x|^-0.25 on [0, 1) is singular at its support end; |f|^2 stays
+# integrable against power_measure(0.4).
+MAXIMAL_FUNCTIONS = [*PROFILE_FUNCTIONS[:2], power_function(-0.25, (0.0, 1.0))]
 
 
-@pytest.mark.parametrize("q, beta", MAXIMAL_EXPONENTS)
+@pytest.mark.parametrize("beta", ["q", 3, math.inf])
+@pytest.mark.parametrize("q", [1, 1.5, 2])
 @pytest.mark.parametrize("f", MAXIMAL_FUNCTIONS, ids=lambda f: f.label)
 @pytest.mark.parametrize("m", PROFILE_MEASURES, ids=repr)
-def test_maximal_profile_matches_reference(m, f, q, beta):
+def test_maximal_profile_matches_brute_force(m, f, q, beta):
+    beta = q if beta == "q" else beta
+    table = LqTable(m, f, Exponent.of(q))
+    grid = np.asarray(m.inv_cdf(np.linspace(-3.0, 3.0, 40, endpoint=False)
+                                + 3.0 / 40.0), float)
+    for xs in (_maximal_points(f), grid):
+        got = maximal_profile(m, f, q, beta, xs, table=table)
+        want = _brute_maximal_profile(m, f, q, beta, xs, table)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+
+
+def test_maximal_profile_default_table():
+    f = tent(-1.0, 1.5)
     xs = _maximal_points(f)
-    got = maximal_profile(m, f, q, beta, xs)
-    assert np.array_equal(got, _reference_maximal_profile(m, f, q, beta, xs))
-    assert np.all(np.isfinite(got)) and np.any(got > 0.0)
+    got = maximal_profile(CUSTOM, f, 1.5, 3, xs)
+    table = LqTable(CUSTOM, f, Exponent.of(1.5))
+    assert np.array_equal(got, maximal_profile(CUSTOM, f, 1.5, 3, xs, table=table))
 
 
-@pytest.mark.parametrize("split_count", [1, 17])
-@pytest.mark.parametrize("grid", ["default", "hand"])
+@pytest.mark.parametrize("q", [1, 2])
 @pytest.mark.parametrize("f", MAXIMAL_FUNCTIONS, ids=lambda f: f.label)
-def test_maximal_profile_grids_and_splits(f, grid, split_count):
+def test_maximal_profile_exact_homogeneity(f, q):
+    # |2f|^q is 2^q |f|^q exactly, and so is every table sum and pair value.
     m = power_measure(0.4)
     xs = _maximal_points(f)
-    masses = (default_mass_grid(m, f, xs, count=40) if grid == "default"
-              else np.array([3.0, 1e-4, 0.05, 0.7, 40.0, 0.05, 2e3]))
-    table = LqTable(m, f, Exponent.of(1.5))
-    got = maximal_profile(m, f, 1.5, 4, xs, mass_grid=masses,
-                          split_count=split_count, table=table)
-    want = _reference_maximal_profile(m, f, 1.5, 4, xs, masses, split_count,
-                                      table)
-    assert np.array_equal(got, want)
+    for beta in (q, 3, math.inf):
+        base = maximal_profile(m, f, q, beta, xs)
+        assert np.array_equal(maximal_profile(m, scaled(f, 2.0), q, beta, xs),
+                              2.0 * base)
 
 
-def test_maximal_profile_points_at_reach_edges():
-    # Points a hair either side of the farthest reach of one mass: just
-    # inside it the widest split covers a sliver of the support.
-    f = indicator(0.0, 1.0)
+def test_maximal_profile_points_on_edges_are_inside():
+    # Each point is an edge, so [0, 1] counts at x = 0 and x = 1, and the
+    # best interval from outside ends on the point itself.
+    xs = np.array([1.25, 0.0, 0.5, 1.0, -0.25])
+    got = maximal_profile(LEB, CHI01, 1, math.inf, xs)
+    assert got == pytest.approx([0.8, 1.0, 1.0, 1.0, 0.8], rel=1e-14)
+    got = maximal_profile(LEB, CHI01, 2, 2, xs)
+    assert got == pytest.approx(np.ones(5), rel=1e-14)
+
+
+def test_maximal_profile_refined_family_contains_coarse():
+    # Coarse points and cell edges are midpoints of the doubled grid, so
+    # the largest value cannot fall under refinement.
+    f = tent(-1.0, 1.5)
+    tops = []
+    for n in (32, 64, 128):
+        xs = -4.0 + 8.0 * (np.arange(n) + 0.5) / n
+        tops.append(maximal_profile(LEB, f, 1, 3, xs).max())
+    assert tops[0] <= tops[1] <= tops[2]
+
+
+@pytest.mark.parametrize("width", [1e-3, 0.05, 8.0])
+def test_maximal_profile_blocks_stay_small(width):
+    # A block of the edge pass holds at most _EDGE_BLOCK values (256 KB),
+    # also when the support covers only a few edges.
+    import tracemalloc
+    xs = -8.0 + 16.0 * (np.arange(2048) + 0.5) / 2048
+    f = indicator(0.0, width)
     table = LqTable(LEB, f, Exponent.of(1))
-    e0, e1 = table.t_edges[[0, -1]]
-    fracs = np.arange(1.0, 18.0) / 18.0
-    for M in (0.5, 3.0):
-        left, right = e0 - (M - fracs[0] * M), e1 + fracs[-1] * M
-        xs = np.array([left - 5e-10, np.nextafter(left, -np.inf), left,
-                       np.nextafter(left, np.inf), left + 5e-10,
-                       right - 5e-10, np.nextafter(right, -np.inf), right,
-                       np.nextafter(right, np.inf), right + 5e-10])
-        for q, beta in [(1, math.inf), (2, 3)]:
-            got = maximal_profile(LEB, f, q, beta, xs, mass_grid=[M],
-                                  table=table)
-            want = _reference_maximal_profile(LEB, f, q, beta, xs, [M], 17,
-                                              table)
-            assert np.array_equal(got, want)
-            assert got[0] == got[-1] == 0.0 and got[4] > 0.0 and got[5] > 0.0
+    tracemalloc.start()
+    try:
+        maximal_profile(LEB, f, 1, 3, xs, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_maximal_profile_zero_function():
+    xs = np.array([-1.0, 0.5, 3.0])
+    assert np.array_equal(maximal_profile(LEB, ZERO, 1, math.inf, xs), np.zeros(3))
 
 
 def test_maximal_profile_infinite_table_total_gives_nan():
-    # Past the right end of the table both ends interpolate to inf and
-    # d = inf - inf: those candidates are NaN and so is the point.
     table = LqTable.__new__(LqTable)
     table.t_edges = np.array([0.0, 0.25, 0.5, 1.0])
     table.cum = np.array([0.0, 0.5, 2.0, np.inf])
     xs = np.array([3.0, 0.4, -2.0, 1.0, 0.1, 30.0, -0.3])
-    masses = np.array([0.05, 0.3, 1.0, 4.0])
     for q, beta in [(1, math.inf), (2, 3)]:
-        with np.errstate(invalid="ignore"):
-            got = maximal_profile(LEB, CHI01, q, beta, xs, mass_grid=masses,
-                                  table=table)
-            want = _reference_maximal_profile(LEB, CHI01, q, beta, xs,
-                                              masses, 17, table)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.isnan(got[[0, 3, 5]]).all() and not np.isnan(got[[2, 6]]).any()
+        got = maximal_profile(LEB, CHI01, q, beta, xs, table=table)
+        assert np.isnan(got).all()
 
 
-def test_maximal_profile_unusual_inputs():
-    # Zero, tiny (coef inf), negative, infinite and NaN masses, each with
-    # far and non-finite points; a NaN point, a 2-d point array, no
-    # points and no splits.
+def test_maximal_profile_nan_and_infinite_points():
+    # NaN and infinite points are no edges: the finite points keep the
+    # values they have on their own.  An unbounded interval holds all of
+    # f, which is worth 0 for beta > q and |f|_q for beta = q.
     f = tent(-1.0, 1.5)
-    table = LqTable(LEB, f, Exponent.of(1))
-    far = np.array([0.2, -np.inf, np.inf, 4.0, -3.0])
-    cases = [(far, [M], 17) for M in (0.0, 5e-324, -1.0, np.inf, np.nan)]
-    cases += [(np.array([0.2, np.nan, -3.0, 4.0]), [0.5], 17),
-              (np.array([[0.2, 3.0], [-3.0, 1.0]]), [0.5, 4.0], 5),
-              (np.array([]), [0.5], 17),
-              (np.array([0.2, 3.0]), [0.5], 0)]
-    for xs, grid, splits in cases:
-        grid = np.array(grid, float)
-        for q, beta in [(1, math.inf), (1, 1)]:
-            with np.errstate(all="ignore"):
-                got = maximal_profile(LEB, f, q, beta, xs, mass_grid=grid,
-                                      split_count=splits, table=table)
-                want = _reference_maximal_profile(LEB, f, q, beta, xs, grid,
-                                                  splits, table)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want, equal_nan=True)
+    xs = np.array([0.2, np.nan, -np.inf, 4.0, np.inf, -3.0])
+    ok = np.isfinite(xs)
+    for q, beta in [(1, math.inf), (2, 3), (2, 2)]:
+        got = maximal_profile(LEB, f, q, beta, xs)
+        assert np.array_equal(got[ok], maximal_profile(LEB, f, q, beta, xs[ok]))
+        assert np.isnan(got[1])
+        limit = 0.0 if beta != q else lq_norm(LEB, f, f.support, q)
+        assert got[[2, 4]] == pytest.approx([limit, limit], rel=1e-8)
 
 
-def test_maximal_profile_mass_grid_list_matches_array():
-    # A list grid holds Python floats, whose 0.0 ** (negative) raises
-    # ZeroDivisionError; it must behave exactly like the same array.
+def test_maximal_profile_shapes():
     f = tent(-1.0, 1.5)
-    table = LqTable(LEB, f, Exponent.of(1))
-    xs = np.array([0.2, -np.inf, np.inf, 4.0, -3.0])
-    for grid in ([0.0, 1.0], [5e-324, 0.5], [-1.0, np.inf, np.nan], [0.5, 4.0]):
-        for q, beta in [(1, math.inf), (1, 1), (2, 3)]:
-            with np.errstate(all="ignore"):
-                got = maximal_profile(LEB, f, q, beta, xs, mass_grid=grid,
-                                      table=table)
-                want = maximal_profile(LEB, f, q, beta, xs,
-                                       mass_grid=np.array(grid), table=table)
-                ref = _reference_maximal_profile(LEB, f, q, beta, xs,
-                                                 np.array(grid), 17, table)
-            assert np.array_equal(got, want, equal_nan=True)
-            assert np.array_equal(got, ref, equal_nan=True)
+    xs = np.array([[0.2, 3.0], [-3.0, 1.0]])
+    got = maximal_profile(LEB, f, 1, math.inf, xs)
+    assert got.shape == (2, 2)
+    assert np.array_equal(got.ravel(), maximal_profile(LEB, f, 1, math.inf, xs.ravel()))
+    assert np.array_equal(got.ravel(), maximal_profile(LEB, f, 1, math.inf,
+                                                       xs.ravel().tolist()))
+    for empty in (np.array([]), np.zeros((0, 3))):
+        assert maximal_profile(LEB, f, 1, math.inf, empty).shape == empty.shape
+    one = maximal_profile(LEB, f, 2, 3, [0.25])
+    assert one.shape == (1,) and one[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
