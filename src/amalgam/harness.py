@@ -35,8 +35,8 @@ from .functions import (RealFunction, indicator, make_function, power_function,
 from .measure import (DivergenceError, QuadratureError,
                       growth_constant, lebesgue, make_interval, make_measure,
                       power_measure, RadonMeasure)
-from .norms import (Exponent, LqTable, TrivialSpaceError, amalgam_norm,
-                    default_r_grid, lq_norm, weak_norm)
+from .norms import (Exponent, LqTables, amalgam_norm, default_r_grid, lq_norm,
+                    weak_norm)
 from .operators import (Kernel, farfield_bound_check, make_kernel,
                         maximal_profile, potential_profile, riesz_kernel)
 from .weights import (SubsetSampler, Weight, a_infty_epsilon_delta,
@@ -310,13 +310,13 @@ def sample_grid(m: RadonMeasure, window_mass: float, samples: int) -> SampleGrid
     return SampleGrid(ts=ts, xs=xs, cell=cell, t_lo=t_lo, t_hi=t_hi)
 
 
-def weight_cell_masses(m: RadonMeasure, wfn: RealFunction,
-                       grid: SampleGrid) -> np.ndarray:
+def weight_cell_masses(m: RadonMeasure, wfn: RealFunction, grid: SampleGrid, *,
+                       tables: LqTables) -> np.ndarray:
     """Integral of the weight over each grid cell, via one cumulative table."""
     lo = float(m.inv_cdf(grid.t_lo))
     hi = float(m.inv_cdf(grid.t_hi))
     clipped = replace(wfn, support=make_interval(m, lo, hi), levels=None)
-    tab = LqTable(m, clipped, Exponent.of(1), cells=max(2048, 2 * grid.ts.size))
+    tab = tables.get(m, clipped, 1, cells=max(2048, 2 * grid.ts.size))
     edges = np.concatenate([grid.ts - grid.cell / 2.0, [grid.t_hi]])
     return np.asarray(tab.mass_between(edges[:-1], edges[1:]), float)
 
@@ -485,9 +485,11 @@ class _Plan(NamedTuple):
     finish: Callable[[list], str | None] | None = None
 
 
-def _amalgam(m: RadonMeasure, f: RealFunction, q, p, alpha, gs: int) -> float:
+def _amalgam(m, f: RealFunction, q, p, alpha, gs: int, tables: LqTables) -> float:
     r_grid = default_r_grid(m.mass(f.support), 64 * gs)
-    return amalgam_norm(m, f, q, p, alpha, r_grid=r_grid)[0]
+    # At alpha = p amalgam_norm scans no scale and reads no table.
+    table = None if Exponent.of(alpha) == Exponent.of(p) else tables.get(m, f, q)
+    return amalgam_norm(m, f, q, p, alpha, r_grid=r_grid, table=table)[0]
 
 
 def _weighted_rows(f: RealFunction, prof: np.ndarray, wmass: np.ndarray,
@@ -510,16 +512,17 @@ def _weak_rows(f: RealFunction, prof: np.ndarray, cell: float, inv_s: float,
     return _Eval([_row(f.label, lams[i], lhs[i], rhs, note) for rhs, note in rhs_notes])
 
 
-def run_scenario(scn: Scenario, grid_scale: int = 1,
-                 check_homogeneity: bool = True) -> VerificationReport:
-    """The target's gate, then its evaluator on each function.  The probe
-    reruns the first one as 2f, where both sides scale alike.
+def run_scenario(scn: Scenario, grid_scale: int = 1, check_homogeneity: bool = True,
+                 *, tables: LqTables | None = None) -> VerificationReport:
+    """The target's gate, then its evaluator on each function, with f's
+    LqTables served from tables (default: a new set).  The probe reruns
+    the first function as 2f, where both sides scale alike.
     Side checks (bounded notes need ratio <= 1, identity rows ratio 1)
     stay out of the constant and the witness; prop41's part-2 rows count
     toward the constant, but the witness is a part-1 row."""
     if scn.target == "covering_trials":
         return _covering_trials(scn, grid_scale)
-    plan = _GATES[scn.target](scn, grid_scale)
+    plan = _GATES[scn.target](scn, grid_scale, LqTables() if tables is None else tables)
     rows, homo = [], True
     for fi, f in enumerate(plan.family):
         ev = plan.evaluate(f)
@@ -551,15 +554,17 @@ def run_scenario(scn: Scenario, grid_scale: int = 1,
 
 def verify_scenario(scn: Scenario, stability_tol: float | None = None,
                     base_scale: int = 1) -> VerificationReport:
-    """Base run plus a doubled-grid rerun; the relative drift of the
+    """Base run plus a doubled-grid rerun, sharing one LqTables (f's tables
+    have 4096 cells at every grid scale); the relative drift of the
     empirical constant becomes refinement_stability and feeds the verdict."""
-    report = run_scenario(scn, grid_scale=base_scale, check_homogeneity=True)
+    tables = LqTables()
+    report = run_scenario(scn, base_scale, True, tables=tables)
     tol = (stability_tol if stability_tol is not None
            else float(scn.tolerances.get("stability", DEFAULT_STABILITY_TOL)))
     report.meta["stability_tol"] = tol
     if report.verdict == "skip":
         return report
-    refined = run_scenario(scn, grid_scale=2 * base_scale, check_homogeneity=False)
+    refined = run_scenario(scn, 2 * base_scale, False, tables=tables)
     c1, c2 = report.empirical_constant, refined.empirical_constant
     if c1 == 0.0 and c2 == 0.0:
         rel = 0.0
@@ -574,7 +579,7 @@ def verify_scenario(scn: Scenario, stability_tol: float | None = None,
     return report
 
 
-def _thm21(scn: Scenario, gs: int) -> _Plan:
+def _thm21(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     """Weighted weak bound for the maximal operator, both variants.
 
     Part 1 compares (sum of v^theta over the level set)^(1/theta) with
@@ -602,7 +607,7 @@ def _thm21(scn: Scenario, gs: int) -> _Plan:
     cond = _weight_gate(scn, m, wgt, q, q1, beta, gs)
     fam = _scenario_functions(scn, alpha)
     grid = sample_grid(m, scn.window_mass, scn.samples * gs)
-    wmass = weight_cell_masses(m, wgt.powered(theta), grid)
+    wmass = weight_cell_masses(m, wgt.powered(theta), grid, tables=tables)
     details = {"theta": theta, "weight_condition": cond.constant,
                "weight_intervals": cond.interval_count}
     if part2:
@@ -610,10 +615,10 @@ def _thm21(scn: Scenario, gs: int) -> _Plan:
 
     def evaluate(f):
         fv = _fv(f, wgt)
-        prof = maximal_profile(m, f, q, beta, grid.xs)
+        prof = maximal_profile(m, f, q, beta, grid.xs, table=tables.get(m, f, q))
         if part2:
-            a1 = _amalgam(m, fv, q1, p1, alpha1, gs)
-            a2 = _amalgam(m, f, q, "inf", alpha, gs)
+            a1 = _amalgam(m, fv, q1, p1, alpha1, gs, tables)
+            a2 = _amalgam(m, f, q, "inf", alpha, gs, tables)
             return _weighted_rows(f, prof, wmass, inv_theta,
                                   lambda lam: (a1 / lam) * (a2 / lam) ** expo)
         base = _lq_or_inf(m, fv, q1)
@@ -622,7 +627,7 @@ def _thm21(scn: Scenario, gs: int) -> _Plan:
     return _Plan(details, fam, evaluate)
 
 
-def _cor23_24(scn: Scenario, gs: int) -> _Plan:
+def _cor23_24(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     """Weak (strong) s-norm of the sampled maximal function against the
     amalgam (Lebesgue) norm of the input."""
     cor24 = scn.target == "cor24"
@@ -645,17 +650,17 @@ def _cor23_24(scn: Scenario, gs: int) -> _Plan:
     grid = sample_grid(m, scn.window_mass, scn.samples * gs)
 
     def evaluate(f):
-        prof = maximal_profile(m, f, q, beta, grid.xs)
+        prof = maximal_profile(m, f, q, beta, grid.xs, table=tables.get(m, f, q))
         if cor24:
             strong = float(np.sum(prof ** s) * grid.cell) ** inv_s
             return _Eval([_row(f.label, None, strong, _lq_or_inf(m, f, alpha))])
-        rhs = _amalgam(m, f, q, p, alpha, gs)
+        rhs = _amalgam(m, f, q, p, alpha, gs, tables)
         return _weak_rows(f, prof, grid.cell, inv_s, [(rhs, "")])
 
     return _Plan({"s": s}, fam, evaluate)
 
 
-def _thm31_goodlambda(scn: Scenario, gs: int) -> _Plan:
+def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     """sup lam^kappa rho{Kf > lam} against the same sup for the maximal
     function, rho = w dmu, one row per (f, kappa).  Both sups run over
     lam >= one shared floor, each side up to its own top."""
@@ -683,15 +688,15 @@ def _thm31_goodlambda(scn: Scenario, gs: int) -> _Plan:
              f"{scn.name}: weight failed the mass-concentration sampling")
 
     grid = sample_grid(m, scn.window_mass, scn.samples * gs)
-    wmass = weight_cell_masses(m, wgt.fn, grid)
+    wmass = weight_cell_masses(m, wgt.fn, grid, tables=tables)
     details = {"growth_constant": growth, "delta_hat": delta_hat, "eps": 0.5,
                "p": p.value, "amalgam_norms": {}}
 
     def evaluate(f):
-        af = _amalgam(m, f, q, p, alpha, gs)
+        af = _amalgam(m, f, q, p, alpha, gs, tables)
         _require(math.isfinite(af), f"{f.label} has infinite amalgam norm")
         kprof = _potential(m, f, k, grid.xs, gs)
-        mprof = maximal_profile(m, f, q, beta, grid.xs)
+        mprof = maximal_profile(m, f, q, beta, grid.xs, table=tables.get(m, f, q))
         floor = 1e-3 * max(_top(kprof), _top(mprof))
         lams_k, sums_k = _levels(wmass, kprof, floor)
         lams_m, sums_m = _levels(wmass, mprof, floor)
@@ -703,7 +708,7 @@ def _thm31_goodlambda(scn: Scenario, gs: int) -> _Plan:
     return _Plan(details, _scenario_functions(scn, alpha), evaluate)
 
 
-def _lem32(scn: Scenario, gs: int) -> _Plan:
+def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     """Local level-set estimate with the split-threshold fitted.
 
     For each height a the interval I is grown from the level set of the
@@ -744,7 +749,7 @@ def _lem32(scn: Scenario, gs: int) -> _Plan:
 
     def evaluate(f):
         kprof = _potential(m, f, k, grid.xs, gs)
-        mprof = maximal_profile(m, f, q, beta, grid.xs)
+        mprof = maximal_profile(m, f, q, beta, grid.xs, table=tables.get(m, f, q))
         top = _top(kprof)
         rows, intervals, notes = [], [], []
         for frac in a_fracs:
@@ -790,7 +795,7 @@ def _lem32(scn: Scenario, gs: int) -> _Plan:
         a2 = 2.0 * first["lam"]
         f2 = scaled(f, 2.0)
         kprof2 = _potential(m, f2, k, grid.xs, gs)
-        mprof2 = maximal_profile(m, f2, q, beta, grid.xs)
+        mprof2 = maximal_profile(m, f2, q, beta, grid.xs, table=tables.get(m, f2, q))
         found = interval_for(kprof2, a2)
         if found is None:
             return True
@@ -814,7 +819,7 @@ def _lem32(scn: Scenario, gs: int) -> _Plan:
     return _Plan(details, fam, evaluate, probe, finish)
 
 
-def _lem33(scn: Scenario, gs: int) -> _Plan:
+def _lem33(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     """Far-field domination of the potential by the maximal function.
 
     Flanking intervals of exactly the support's mass are attached on
@@ -838,19 +843,19 @@ def _lem33(scn: Scenario, gs: int) -> _Plan:
         t1, t2 = m.cdf(f.support.a), m.cdf(f.support.b)
         y1 = float(m.inv_cdf(t1 - core))
         y2 = float(m.inv_cdf(t2 + core))
-        rows = []
+        rows, table = [], tables.get(m, f, q)
         for off in core * np.geomspace(0.5, 8.0, n_off):
             for label, t_x in (("right", t2 + core + off), ("left", t1 - core - off)):
                 x = float(m.inv_cdf(t_x))
                 lhs, rhs = farfield_bound_check(m, f, q, beta, y1, f.support.a,
-                                                f.support.b, y2, x, k)
+                                                f.support.b, y2, x, k, table=table)
                 rows.append(_row(f.label, off, lhs, rhs, note=label))
         return _Eval(rows)
 
     return _Plan({"offsets": n_off * 2}, fam, evaluate)
 
 
-def _prop34_cor35_cor36(scn: Scenario, gs: int) -> _Plan:
+def _prop34_cor35_cor36(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     """Weak bounds for the potential: weighted level sets, the two-step
     product chain, and the pure weak-to-weak form with auto-chosen q, p."""
     m = _scenario_measure(scn)
@@ -875,7 +880,7 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int) -> _Plan:
         expo = (q1.recip - alpha1.recip) / inv_s
         wgt = _scenario_weight(scn)
         cond = _weight_gate(scn, m, wgt, q, q1, beta, gs)
-        wmass = weight_cell_masses(m, wgt.powered(theta), grid)
+        wmass = weight_cell_masses(m, wgt.powered(theta), grid, tables=tables)
         details.update({"theta": theta, "s": 1.0 / inv_s,
                         "weight_condition": cond.constant,
                         "interpolation_exponent": expo})
@@ -883,8 +888,8 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int) -> _Plan:
         def evaluate(f):
             fv = _fv(f, wgt)
             kprof = _potential(m, f, k, grid.xs, gs)
-            a1 = _amalgam(m, fv, q1, p1, alpha1, gs)
-            a2 = _amalgam(m, f, q, "inf", alpha, gs)
+            a1 = _amalgam(m, fv, q1, p1, alpha1, gs, tables)
+            a2 = _amalgam(m, f, q, "inf", alpha, gs, tables)
             return _weighted_rows(f, kprof, wmass, inv_theta,
                                   lambda lam: (a1 / lam) * (a2 / lam) ** expo)
 
@@ -900,8 +905,8 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int) -> _Plan:
         details.update({"theta": theta, "s": 1.0 / inv_s})
 
         def evaluate(f):
-            a1 = _amalgam(m, f, q, p, alpha, gs)
-            a2 = _amalgam(m, f, q, "inf", alpha, gs)
+            a1 = _amalgam(m, f, q, p, alpha, gs, tables)
+            a2 = _amalgam(m, f, q, "inf", alpha, gs, tables)
             mid = a1 ** (theta * inv_s) * a2 ** (1.0 - theta * inv_s)
             chain = [_row(f.label, None, a2, a1, note="weak_le_full"),
                      _row(f.label, None, mid, a1, note="chain")]
@@ -930,7 +935,7 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int) -> _Plan:
     return _Plan(details, _scenario_functions(scn, alpha), evaluate)
 
 
-def _prop41_steinweiss(scn: Scenario, gs: int) -> _Plan:
+def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     """Fractional integral on the power measure, Lebesgue data.
 
     The twist F = |x|^a f converts the convolution against |x|^(gamma-1)
@@ -964,8 +969,7 @@ def _prop41_steinweiss(scn: Scenario, gs: int) -> _Plan:
     if sw:
         _require(alpha.recip < 1.0, "the closing inequality needs alpha > 1")
 
-    m_a = power_measure(a)
-    leb = lebesgue()
+    m_a, leb = power_measure(a), lebesgue()
     fam = _scenario_functions(scn, alpha)
     details = {"s": s, "eta": 1.0 / inv_eta}
 
@@ -999,8 +1003,8 @@ def _prop41_steinweiss(scn: Scenario, gs: int) -> _Plan:
     def evaluate(f):
         bigf = power_twist(f, a)
         prof = _potential(leb, f, k, grid.xs, gs)
-        a1 = _amalgam(m_a, bigf, q, p, alpha, gs)
-        a2 = _amalgam(m_a, bigf, q, "inf", alpha, gs)
+        a1 = _amalgam(m_a, bigf, q, p, alpha, gs, tables)
+        a2 = _amalgam(m_a, bigf, q, "inf", alpha, gs, tables)
         rhs_notes = [(a1 ** (theta * inv_s) * a2 ** (1.0 - theta * inv_s), "")]
         if part2:
             rhs_notes.append((weak_norm(m_a, bigf, alpha), "part2"))
@@ -1009,7 +1013,7 @@ def _prop41_steinweiss(scn: Scenario, gs: int) -> _Plan:
     return _Plan(details, fam, evaluate)
 
 
-def _norm_properties(scn: Scenario, gs: int) -> _Plan:
+def _norm_properties(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     """Norm cross-checks on one family: the q = p = alpha collapse, the
     weak-vs-strong comparison, the p-monotonicity of block norms, and
     the weak-to-amalgam embedding constant."""
@@ -1021,10 +1025,7 @@ def _norm_properties(scn: Scenario, gs: int) -> _Plan:
     identity_mode = (q.value == p.value == alpha.value)
 
     def evaluate(f):
-        try:
-            full = _amalgam(m, f, q, p, alpha, gs)
-        except TrivialSpaceError as e:
-            raise HypothesisRejected(str(e)) from e
+        full = _amalgam(m, f, q, p, alpha, gs, tables)
         weak = weak_norm(m, f, alpha)
         strong = _lq_or_inf(m, f, alpha)
         rows = []
@@ -1033,7 +1034,7 @@ def _norm_properties(scn: Scenario, gs: int) -> _Plan:
         if math.isfinite(strong):
             rows.append(_row(f.label, None, weak, strong, note="weak_le_strong"))
         if not identity_mode:
-            tail_free = _amalgam(m, f, q, "inf", alpha, gs)
+            tail_free = _amalgam(m, f, q, "inf", alpha, gs, tables)
             rows.append(_row(f.label, None, tail_free, full, note="p_monotone"))
         rows.append(_row(f.label, None, full, weak, note="embedding"))
         return _Eval(rows, len(rows) - 1)
@@ -1074,8 +1075,7 @@ def _covering_trials(scn: Scenario, gs: int) -> VerificationReport:
     ulp = float(np.spacing(max(map(abs, center_range)) + mass_range[1]))
     need(mass_range[0] > 2.0 * ulp, f"options.mass_range needs lo > {2.0 * ulp:g}, "
          f"twice the double spacing at the centers")
-    worst = 0
-    failure = None
+    worst, failure = 0, None
     for t in range(trials):
         fam = random_family(m, count=count, seed=scn.seed + t,
                             mass_range=mass_range, center_range=center_range)

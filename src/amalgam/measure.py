@@ -455,6 +455,14 @@ class RadonMeasure:
     def mass(self, interval: IntervalRC) -> float:
         return self.cdf(interval.b) - self.cdf(interval.a)
 
+    @property
+    def key(self) -> tuple:
+        """The measure as a hashable value: equal keys, equal measures."""
+        t = self.table
+        if t is None:
+            return (self.kind, self.a)
+        return (self.kind, t.xs.tobytes(), t.ws.tobytes(), t.left_exp, t.right_exp)
+
     def __repr__(self):
         if self.kind == "power":
             return f"RadonMeasure(power, a={self.a})"

@@ -10,7 +10,11 @@ q <= alpha <= p; at alpha = q or alpha = p it collapses to L^alpha.
 
 Heavy lifting goes through LqTable, a cumulative table of |f|^q in
 measure coordinates: any block integral is then a difference of two
-interpolated values, which makes scans over many scales cheap.
+interpolated values.  amalgam_norm values its whole scale grid in one
+pass: every scale's block edges in one array, one mass_between call and
+one 1/q power over all blocks, then each scale's sum over its own slice.
+A caller that needs the same table more than once (a scenario verify)
+holds it in an LqTables and passes it down through table=.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "Exponent",
     "TrivialSpaceError",
     "LqTable",
+    "LqTables",
     "lq_norm",
     "weak_norm",
     "block_norm",
@@ -131,9 +136,37 @@ class LqTable:
         c1 = np.interp(t1, self.t_edges, self.cum)
         return np.maximum(c1 - c0, 0.0)
 
-    def block_values(self, edges: np.ndarray) -> np.ndarray:
-        """Per-block q-norms for consecutive edge pairs."""
-        return self.mass_between(edges[:-1], edges[1:]) ** (1.0 / self.q.value)
+
+class LqTables:
+    """The LqTables of one computation, each built on first use.
+
+    Every run of a scenario rebuilds its measure and functions, so a table
+    is found by value: the measure's key, q, the cell count, and f's
+    label, support, singular points, breakpoints and its values there and
+    at eleven points across the support.  The label alone would not do: a
+    restricted f keeps its label on another support, and a tent's height
+    or a power's coefficient is not in it.  An infinite q has no table:
+    get gives None.
+    """
+
+    def __init__(self):
+        self._tables: dict[tuple, LqTable] = {}
+
+    def get(self, m: RadonMeasure, f: RealFunction, q,
+            cells: int = 4096) -> LqTable | None:
+        q = Exponent.of(q)
+        if q.is_inf:
+            return None
+        with np.errstate(all="ignore"):
+            probe = np.concatenate([f.singularities, f.breakpoints,
+                                    np.linspace(f.support.a, f.support.b, 11)])
+            values = np.asarray(f(probe), float)
+        key = (m.key, q.value, cells, f.label, f.support.a, f.support.b,
+               f.singularities, f.breakpoints, values.tobytes())
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = LqTable(m, f, q, cells)
+        return table
 
 
 def _sample_abs(m: RadonMeasure, f: RealFunction, t_lo: float, t_hi: float,
@@ -222,12 +255,23 @@ def weak_norm(m: RadonMeasure, f: RealFunction, alpha,
     return best
 
 
-def _block_edges(t0: float, r: float, t_lo: float, t_hi: float) -> np.ndarray:
-    i_lo = int(np.floor((t_lo - t0) / r))
-    i_hi = int(np.ceil((t_hi - t0) / r))
-    if i_hi <= i_lo:
-        i_hi = i_lo + 1
-    return t0 + np.arange(i_lo, i_hi + 1) * r
+def _check_scales(rs: np.ndarray):
+    bad = rs[~((rs > 0.0) & np.isfinite(rs))]
+    if bad.size:
+        raise ValueError(f"block scale r must be positive and finite, got {bad[0]}")
+
+
+def _block_edges(t0: float, rs: np.ndarray, t_lo: float,
+                 t_hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every scale r of rs, the edges t0 + i r, i_lo <= i <= i_hi, of the
+    blocks meeting [t_lo, t_hi] (at least one block), concatenated scale
+    after scale; with where each scale's run starts and how many edges
+    it has."""
+    i_lo = np.floor((t_lo - t0) / rs).astype(np.int64)
+    n = np.maximum(np.ceil((t_hi - t0) / rs).astype(np.int64) - i_lo, 1) + 1
+    starts = n.cumsum() - n
+    i = np.arange(starts[-1] + n[-1]) + (i_lo - starts).repeat(n)
+    return t0 + i * rs.repeat(n), starts, n
 
 
 def _block_values_inf(m: RadonMeasure, f: RealFunction, edges: np.ndarray,
@@ -241,11 +285,24 @@ def _block_values_inf(m: RadonMeasure, f: RealFunction, edges: np.ndarray,
 
 def _combine(values: np.ndarray, p: Exponent, tail_candidate: float = 0.0) -> float:
     if p.is_inf:
-        vmax = float(np.max(values)) if values.size else 0.0
+        vmax = float(values.max()) if values.size else 0.0
         return max(vmax, tail_candidate)
     if tail_candidate > 0.0:
         return np.inf   # infinitely many tail blocks each above zero
-    return float(np.sum(values ** p.value) ** (1.0 / p.value))
+    return float((values ** p.value).sum() ** (1.0 / p.value))
+
+
+def _scale_values(table: LqTable, p: Exponent, tail_bound: float, expo: float,
+                  t0: float, t_lo: float, t_hi: float, rs: np.ndarray) -> np.ndarray:
+    """r^expo |f|_{q,p;r} for every scale r of rs, in one pass: one
+    mass_between and one 1/q power over all blocks of all scales, then
+    _combine on each scale's slice (numpy's pairwise sum per scale).  The
+    pairs that straddle two scales' runs are valued too, and skipped."""
+    edges, starts, n = _block_edges(t0, rs, t_lo, t_hi)
+    values = table.mass_between(edges[:-1], edges[1:]) ** (1.0 / table.q.value)
+    rq = table.q.recip
+    return np.array([r ** expo * _combine(values[a:a + k - 1], p, tail_bound * r ** rq)
+                     for r, a, k in zip(rs, starts, n)])
 
 
 def block_norm(m: RadonMeasure, f: RealFunction, q, p, r: float,
@@ -257,19 +314,16 @@ def block_norm(m: RadonMeasure, f: RealFunction, q, p, r: float,
     tail_bound * r^(1/q) apiece (finite only in the sup combination).
     """
     q, p = Exponent.of(q), Exponent.of(p)
-    if not (r > 0.0) or not np.isfinite(r):
-        raise ValueError(f"block scale r must be positive and finite, got {r}")
+    rs = np.array([r], float)
+    _check_scales(rs)
     t_lo, t_hi = _t_range(m, f)
-    edges = _block_edges(m.cdf(x0), r, t_lo, t_hi)
     if q.is_inf:
-        values = _block_values_inf(m, f, edges)
-        tail = f.tail_bound
-    else:
-        if table is None:
-            table = LqTable(m, f, q)
-        values = table.block_values(edges)
-        tail = f.tail_bound * r ** q.recip
-    return _combine(values, p, tail_candidate=tail)
+        edges = _block_edges(m.cdf(x0), rs, t_lo, t_hi)[0]
+        return _combine(_block_values_inf(m, f, edges), p, f.tail_bound)
+    if table is None:
+        table = LqTable(m, f, q)
+    return float(_scale_values(table, p, f.tail_bound, 0.0, m.cdf(x0),
+                               t_lo, t_hi, rs)[0])
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
@@ -299,22 +353,33 @@ def default_r_grid(mass: float, count: int = 64) -> np.ndarray:
 
 def amalgam_norm(m: RadonMeasure, f: RealFunction, q, p, alpha,
                  r_grid: Sequence[float] | None = None,
-                 x0: float = 0.0) -> tuple[float, float]:
+                 x0: float = 0.0, *, table: LqTable | None = None
+                 ) -> tuple[float, float]:
     """Amalgam norm sup_r r^(1/alpha - 1/q) |f|_{q,p;r} and its argmax r.
 
-    The scan grid is geometric; the winning scale is then polished by
-    golden section on log r between its grid neighbours.  At alpha = p
-    no scale is scanned: by Hoelder every scale's value is at most
-    |f|_p, and it tends to |f|_p as r -> 0, so the norm is lq_norm of f
-    over its support and the returned r is 0.0, standing for that limit.
-    (alpha = q has no such shortcut: the partition is anchored at x0, so
-    a support that straddles it stays in two blocks at every scale.)
+    The scan grid is geometric (default_r_grid unless given; every scale
+    must be positive and finite, and there must be one).  For finite q
+    the whole grid is valued in one pass over f's LqTable: table= if
+    given (it must be the table of m, f and q), else one built here.
+    The winning scale is then polished by golden section on log r
+    between its grid neighbours, each step the same pass over a
+    one-scale grid.  At alpha = p no scale is scanned and no table read:
+    by Hoelder every scale's value is at most |f|_p, and it tends to
+    |f|_p as r -> 0, so the norm is lq_norm of f over its support and the
+    returned r is 0.0, standing for that limit.  (alpha = q has no such
+    shortcut: the partition is anchored at x0, so a support that
+    straddles it stays in two blocks at every scale.)
     """
     q, p, alpha = Exponent.of(q), Exponent.of(p), Exponent.of(alpha)
     if q.recip < alpha.recip or alpha.recip < p.recip:
         raise TrivialSpaceError(
             f"amalgam space is trivial unless q <= alpha <= p "
             f"(got q={q.value:g}, alpha={alpha.value:g}, p={p.value:g})")
+    if r_grid is not None:
+        r_grid = np.asarray(r_grid, float)
+        if r_grid.size == 0:
+            raise ValueError("amalgam norm needs at least one block scale in r_grid")
+        _check_scales(r_grid)
     if alpha.recip == p.recip:
         value = lq_norm(m, f, f.support, p)
         if f.tail_bound > 0.0:
@@ -322,23 +387,29 @@ def amalgam_norm(m: RadonMeasure, f: RealFunction, q, p, alpha,
             # add tail_bound to the sup, and infinitely much to a sum.
             value = max(value, f.tail_bound) if p.is_inf else np.inf
         return float(value), 0.0
-    mass = m.mass(f.support)
     if r_grid is None:
-        r_grid = default_r_grid(mass)
-    r_grid = np.asarray(r_grid, float)
+        r_grid = default_r_grid(m.mass(f.support))
     expo = alpha.recip - q.recip
-    table = None if q.is_inf else LqTable(m, f, q)
+    if q.is_inf:
+        def scan(rs):
+            return np.array([r ** expo * block_norm(m, f, q, p, r, x0=x0) for r in rs])
+    else:
+        if table is None:
+            table = LqTable(m, f, q)
+        t0 = m.cdf(x0)
+        t_lo, t_hi = _t_range(m, f)
 
-    def g(r: float) -> float:
-        return r ** expo * block_norm(m, f, q, p, r, x0=x0, table=table)
+        def scan(rs):
+            return _scale_values(table, p, f.tail_bound, expo, t0, t_lo, t_hi, rs)
 
-    vals = np.array([g(r) for r in r_grid])
+    vals = scan(r_grid)
     if not np.any(vals > 0.0):
         return 0.0, float(r_grid[0])
     j = int(np.argmax(vals))
     lo = r_grid[max(j - 1, 0)]
     hi = r_grid[min(j + 1, len(r_grid) - 1)]
-    r_best, v_best = _golden_max(lambda u: g(np.exp(u)), np.log(lo), np.log(hi))
+    r_best, v_best = _golden_max(lambda u: scan(np.array([np.exp(u)]))[0],
+                                 np.log(lo), np.log(hi))
     if v_best >= vals[j]:
         return float(v_best), float(np.exp(r_best))
     return float(vals[j]), float(r_grid[j])

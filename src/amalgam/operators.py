@@ -599,12 +599,13 @@ def riesz_via_power_measure(f: RealFunction, gamma: float, a: float, x: float,
 
 def farfield_bound_check(m: RadonMeasure, f: RealFunction, q, beta,
                          y1: float, x1: float, x2: float, y2: float,
-                         x: float, k: Kernel,
-                         mass_tol: float = 1e-6) -> tuple[float, float]:
+                         x: float, k: Kernel, mass_tol: float = 1e-6, *,
+                         table: LqTable | None = None) -> tuple[float, float]:
     """Far-field domination data: (K f(x), mass-ratio^(1/eta) * maximal).
 
     Geometry: y1 < x1 < x2 < y2 with the flanking masses equal and at
     least the core mass; f supported in [x1, x2]; x outside [y1, y2].
+    table is f's LqTable for q, handed to maximal (built there if None).
     """
     if not (y1 < x1 < x2 < y2):
         raise ValueError("need y1 < x1 < x2 < y2")
@@ -623,7 +624,7 @@ def farfield_bound_check(m: RadonMeasure, f: RealFunction, q, beta,
     q, beta = Exponent.of(q), Exponent.of(beta)
     inv_eta = 1.0 - beta.recip
     lhs = potential(m, f, k, x)
-    mval = maximal(m, f, q, beta, x)
+    mval = maximal(m, f, q, beta, x, table=table)
     if x > y2:
         ratio = m.mass(IntervalRC(x2, x)) / m.mass(IntervalRC(0.0, x - x2))
     else:

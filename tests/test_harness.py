@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,9 @@ from amalgam.harness import (
     verify_scenario,
     write_report,
 )
-from amalgam.measure import lebesgue
-from amalgam.norms import LqTable
+from amalgam.functions import power_function, tent
+from amalgam.measure import lebesgue, make_interval, power_measure
+from amalgam.norms import Exponent, LqTable, LqTables
 
 THM21_BLOCK = {
     "target": "thm21_part1",
@@ -294,6 +296,19 @@ def test_cli_rejects_non_finite_x(command, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error") and "--x" in captured.err
+
+
+@pytest.mark.parametrize("r, shown", [("-1", "-1.0"), ("0", "0.0"), ("inf", "inf"),
+                                      ("nan", "nan")])
+def test_cli_norm_rejects_a_bad_scale_before_any_arithmetic(r, shown, capsys):
+    # Under filterwarnings = error a warning from r ** expo would surface
+    # here as the exception instead of the config error.
+    code = main(["norm", "--measure", "lebesgue", "--function", "tent:-1:1",
+                 "--q", "1", "--p", "4", "--alpha", "2", "--r", r])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: block scale r must be positive and finite, got {shown}"]
 
 
 def test_cli_weight(capsys):
@@ -590,3 +605,61 @@ def test_traced_verify_counts_profile_and_keeps_report(tmp_path, monkeypatch):
     assert stats["candidates"] > 0 and stats["self_s"] > 0.0
     assert traced == plain
     assert harness.maximal_profile is profile
+
+
+# LqTables built by one verify_scenario, base and refined run together:
+# every table is distinct, so the count is the distinct count.
+TABLE_BUILDS = {"lem33_lebesgue": 3, "thm21_part2_custom": 5,
+                "prop41_alpha15": 3, "lem32_power": 2}
+
+
+@pytest.mark.parametrize("stem", sorted(TABLE_BUILDS))
+def test_verify_builds_each_table_once_and_serves_it_exact(stem, monkeypatch):
+    served, built = [], []
+    get, init = LqTables.get, LqTable.__init__
+
+    def counting_get(self, m, f, q, cells=4096):
+        table = get(self, m, f, q, cells)
+        served.append((m, f, q, cells, table))
+        return table
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LqTables, "get", counting_get)
+    monkeypatch.setattr(LqTable, "__init__", counting_init)
+    verify_scenario(load_scenario(f"scenarios/{stem}.json"))
+    monkeypatch.undo()
+    assert len(built) == TABLE_BUILDS[stem]
+    assert len({id(t) for *_, t in served}) == len(built)
+    assert len(served) > len(built)     # tables are served more often than built
+    contents = {(t.t_edges.tobytes(), t.cum.tobytes()) for t in built}
+    assert len(contents) == len(built)
+    for m, f, q, cells, table in served:
+        fresh = LqTable(m, f, Exponent.of(q), cells)
+        assert np.array_equal(table.t_edges, fresh.t_edges)
+        assert np.array_equal(table.cum, fresh.cum)
+
+
+def test_tables_are_keyed_by_value_not_by_label():
+    tables, m = LqTables(), power_measure(0.4)
+    f = power_function(-0.5, (0.05, 2.0))
+    # The same function rebuilt, under a rebuilt measure, shares its table.
+    same = tables.get(power_measure(0.4), power_function(-0.5, (0.05, 2.0)), 1)
+    assert tables.get(m, f, 1) is same
+    assert tables.get(m, f, 1.5) is not same
+    assert tables.get(m, f, 1, cells=2048) is not same
+    assert tables.get(m, f, "inf") is None
+    # lem32's f|I keeps one label at every height, on another support.
+    restricted = [replace(f, support=make_interval(m, 0.05, hi), levels=None,
+                          label=f"{f.label}|I") for hi in (0.5, 1.0, 1.5)]
+    served = [tables.get(m, g, 1) for g in restricted]
+    assert len({id(t) for t in served + [same]}) == 4
+    for g, table in zip(restricted, served):
+        assert np.array_equal(table.cum, LqTable(m, g, Exponent.of(1)).cum)
+    # A tent's height and a power's coefficient are not in the label.
+    assert tent(-1.0, 1.0, 2.0).label == tent(-1.0, 1.0).label
+    assert tables.get(m, tent(-1.0, 1.0, 2.0), 1) is not tables.get(m, tent(-1.0, 1.0), 1)
+    double = power_function(-0.5, (0.05, 2.0), coefficient=2.0)
+    assert double.label == f.label and tables.get(m, double, 1) is not same

@@ -17,12 +17,17 @@ from amalgam.functions import (
     table_function,
     tent,
 )
-from amalgam.measure import IntervalRC, lebesgue, make_interval, power_measure
+from amalgam.measure import (IntervalRC, custom_measure, lebesgue, make_interval,
+                             power_measure)
 from amalgam.norms import (
     Exponent,
+    LqTable,
     TrivialSpaceError,
+    _block_edges,
+    _golden_max,
     amalgam_norm,
     block_norm,
+    default_r_grid,
     level_set_mass,
     lq_norm,
     weak_norm,
@@ -164,6 +169,118 @@ def test_amalgam_trivial_space_rejected():
         amalgam_norm(LEB, CHI01, 3, 4, 2)       # q > alpha
     with pytest.raises(TrivialSpaceError):
         amalgam_norm(LEB, CHI01, 1, 2, 4)       # alpha > p
+
+
+def _per_scale_block_norm(m, f, q, p, r, x0, table):
+    """The finite-q block norm as it was valued one scale at a time."""
+    t0 = m.cdf(x0)
+    i_lo = int(np.floor((m.cdf(f.support.a) - t0) / r))
+    i_hi = int(np.ceil((m.cdf(f.support.b) - t0) / r))
+    if i_hi <= i_lo:
+        i_hi = i_lo + 1
+    edges = t0 + np.arange(i_lo, i_hi + 1) * r
+    values = table.mass_between(edges[:-1], edges[1:]) ** (1.0 / q.value)
+    tail = f.tail_bound * r ** q.recip
+    if p.is_inf:
+        return max(float(np.max(values)), tail)
+    if tail > 0.0:
+        return np.inf
+    return float(np.sum(values ** p.value) ** (1.0 / p.value))
+
+
+def _per_scale_amalgam(m, f, q, p, alpha, r_grid, x0=0.0):
+    """amalgam_norm for finite q and alpha < p as a loop over the scales,
+    each scale's blocks valued on their own: the reference that the
+    one-pass scan must equal bit for bit."""
+    q, p, alpha = Exponent.of(q), Exponent.of(p), Exponent.of(alpha)
+    r_grid = np.asarray(r_grid, float)
+    expo = alpha.recip - q.recip
+    table = LqTable(m, f, q)
+
+    def g(r):
+        return r ** expo * _per_scale_block_norm(m, f, q, p, r, x0, table)
+
+    vals = np.array([g(r) for r in r_grid])
+    if not np.any(vals > 0.0):
+        return 0.0, float(r_grid[0])
+    j = int(np.argmax(vals))
+    lo = r_grid[max(j - 1, 0)]
+    hi = r_grid[min(j + 1, len(r_grid) - 1)]
+    r_best, v_best = _golden_max(lambda u: g(np.exp(u)), np.log(lo), np.log(hi))
+    if v_best >= vals[j]:
+        return float(v_best), float(np.exp(r_best))
+    return float(vals[j]), float(r_grid[j])
+
+
+SCAN_MEASURES = {
+    "lebesgue": LEB,
+    "power0.4": power_measure(0.4),
+    "custom": custom_measure([[-2.0, 1.0], [-0.5, 3.0], [0.5, 0.25], [2.0, 1.0]],
+                             0.5, 0.8),
+}
+SCAN_FUNCTIONS = [CHI01, tent(-1.0, 1.5), power_function(-0.25, (-0.5, 2.0))]
+
+
+def _scan_grid(kind, mass):
+    if kind == "one":
+        return np.array([0.3 * mass])
+    if kind == "extra":      # amalgam norm --r 1e-4
+        return np.sort(np.concatenate([default_r_grid(mass), [1e-4]]))
+    return default_r_grid(mass, 64 * {"gs1": 1, "gs2": 2}[kind])
+
+
+@pytest.mark.parametrize("grid", ["one", "gs1", "gs2", "extra"])
+@pytest.mark.parametrize("p", [4, math.inf])
+@pytest.mark.parametrize("f", SCAN_FUNCTIONS, ids=lambda f: f.label)
+@pytest.mark.parametrize("mname", sorted(SCAN_MEASURES))
+def test_one_pass_scan_equals_the_per_scale_loop(mname, f, p, grid):
+    m = SCAN_MEASURES[mname]
+    r_grid = _scan_grid(grid, m.mass(f.support))
+    expected = _per_scale_amalgam(m, f, 1, p, 2, r_grid)
+    assert amalgam_norm(m, f, 1, p, 2, r_grid=r_grid) == expected
+    table = LqTable(m, f, Exponent.of(1))
+    assert amalgam_norm(m, f, 1, p, 2, r_grid=r_grid, table=table) == expected
+
+
+@pytest.mark.parametrize("q, p, alpha", [(1, 2, 1.5), (1.5, 4, 2.5), (1, math.inf, 2)])
+@pytest.mark.parametrize("x0", [0.0, 0.3, -0.7])
+@pytest.mark.parametrize("tail", [0.0, 0.25])
+def test_one_pass_scan_with_tails_and_anchors(q, p, alpha, x0, tail):
+    m = power_measure(0.4)
+    f = replace(tent(-1.0, 1.5), tail_bound=tail)
+    r_grid = default_r_grid(m.mass(f.support))
+    expected = _per_scale_amalgam(m, f, q, p, alpha, r_grid, x0=x0)
+    assert amalgam_norm(m, f, q, p, alpha, r_grid=r_grid, x0=x0) == expected
+    table = LqTable(m, f, Exponent.of(q))
+    for r in (1e-4, 0.05, 0.7, 3.0, 40.0):
+        assert block_norm(m, f, q, p, r, x0=x0) == _per_scale_block_norm(
+            m, f, Exponent.of(q), Exponent.of(p), r, x0, table)
+
+
+@pytest.mark.parametrize("t0, t_lo, t_hi", [(0.0, -1.0, 1.5), (0.3, 0.25, 0.26),
+                                          (-0.7, 2.0, 9.0), (0.0, 0.5, 0.5)])
+def test_block_edges_match_the_per_scale_layout(t0, t_lo, t_hi):
+    rs = np.concatenate([default_r_grid(1.0), [0.25, 0.5, 1e-4]])
+    edges, starts, n = _block_edges(t0, rs, t_lo, t_hi)
+    assert starts[-1] + n[-1] == edges.size
+    for r, a, k in zip(rs, starts, n):
+        i_lo, i_hi = int(np.floor((t_lo - t0) / r)), int(np.ceil((t_hi - t0) / r))
+        if i_hi <= i_lo:        # t_lo = t_hi = 0.5 on a block edge
+            i_hi = i_lo + 1
+        assert np.array_equal(edges[a:a + k], t0 + np.arange(i_lo, i_hi + 1) * r)
+
+
+@pytest.mark.parametrize("r_grid, match", [
+    ([], "at least one block scale"),
+    ([0.5, 0.0, 1.0], "positive and finite, got 0.0"),
+    ([0.5, -1.0], "positive and finite, got -1.0"),
+    ([0.5, math.inf], "positive and finite, got inf"),
+    ([math.nan, 0.5], "positive and finite, got nan")])
+@pytest.mark.parametrize("p", [4, 2])
+def test_amalgam_checks_the_whole_grid_first(r_grid, match, p):
+    # p = 2 = alpha scans nothing; the grid is checked all the same.
+    with pytest.raises(ValueError, match=match):
+        amalgam_norm(LEB, tent(-1.0, 1.0), 1, p, 2, r_grid=r_grid)
 
 
 HOMOG_FUNCTIONS = [CHI01, tent(-1.0, 1.0), power_function(-0.5, (0.05, 2.0))]
