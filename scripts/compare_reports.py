@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Compare the reports of two `amalgam sweep --out` directories.
+
+    python scripts/compare_reports.py OLD NEW
+
+Prints one line per scenario: `identical` when its report .json and .csv
+are byte-equal in both directories, else the old and new empirical
+constant, the relative move (new - old) / |old| and both verdicts.  A
+scenario with a report on one side only is listed as such.  Exits 1 if
+any verdict changed (a one-sided report counts as a change), else 0.
+"""
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+SUMMARY = "sweep_summary.json"
+
+
+def _stems(d: Path) -> set[str]:
+    return {p.stem for p in d.glob("*.json") if p.name != SUMMARY}
+
+
+def _same_bytes(old: Path, new: Path, stem: str) -> bool:
+    return all((old / f"{stem}{ext}").read_bytes() == (new / f"{stem}{ext}").read_bytes()
+               for ext in (".json", ".csv"))
+
+
+def _move(a: float, b: float) -> str:
+    if a == b:
+        return "0"
+    if a == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+        return "n/a"
+    return f"{(b - a) / abs(a):+.2e}"
+
+
+def compare(old: Path, new: Path, out=sys.stdout) -> int:
+    old_stems, new_stems = _stems(old), _stems(new)
+    changed = 0
+    for stem in sorted(old_stems | new_stems):
+        if stem not in new_stems or stem not in old_stems:
+            side = "OLD" if stem in old_stems else "NEW"
+            print(f"{stem}  only in {side}", file=out)
+            changed += 1
+            continue
+        if _same_bytes(old, new, stem):
+            print(f"{stem}  identical", file=out)
+            continue
+        a = json.loads((old / f"{stem}.json").read_text())
+        b = json.loads((new / f"{stem}.json").read_text())
+        ca, cb = a["empirical_constant"], b["empirical_constant"]
+        print(f"{stem}  {ca!r} -> {cb!r}  ({_move(ca, cb)})  "
+              f"{a['verdict']} -> {b['verdict']}", file=out)
+        changed += a["verdict"] != b["verdict"]
+    return 1 if changed else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", type=Path)
+    ap.add_argument("new", type=Path)
+    args = ap.parse_args(argv)
+    for d in (args.old, args.new):
+        if not d.is_dir():
+            ap.error(f"{d} is not a directory")
+    return compare(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

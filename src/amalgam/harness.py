@@ -12,9 +12,10 @@ seed are byte-identical.
 
 Level sets of the sampled operators are measured by counting cells of a
 midpoint grid in measure coordinates; weighted measures replace the
-count with per-cell masses of the weight.  A supremum over lambda of
-lambda^k times a level-set measure is taken exactly, at the sampled
-values of the operator (see _levels).
+count with per-cell masses of the weight, each the integral of the
+weight over its cell (measure._interval_integrals).  A supremum over
+lambda of lambda^k times a level-set measure is taken exactly, at the
+sampled values of the operator (norms._levels).
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from .covering import random_family, select_cover
 from .functions import (RealFunction, indicator, make_function, power_function,
                         power_twist, product, riesz_kernel_function, scaled,
                         tent)
-from .measure import (DivergenceError, QuadratureError,
+from .measure import (DivergenceError, QuadratureError, _interval_integrals,
                       growth_constant, lebesgue, make_interval, make_measure,
                       power_measure, RadonMeasure)
-from .norms import (Exponent, LqTables, amalgam_norm, default_r_grid, lq_norm,
-                    weak_norm)
+from .norms import (Exponent, LqTables, _levels, _top, amalgam_norm,
+                    default_r_grid, lq_norm, weak_norm)
 from .operators import (Kernel, farfield_bound_check, make_kernel,
                         maximal_profile, potential_profile, riesz_kernel)
 from .weights import (SubsetSampler, Weight, a_infty_epsilon_delta,
@@ -310,44 +311,11 @@ def sample_grid(m: RadonMeasure, window_mass: float, samples: int) -> SampleGrid
     return SampleGrid(ts=ts, xs=xs, cell=cell, t_lo=t_lo, t_hi=t_hi)
 
 
-def weight_cell_masses(m: RadonMeasure, wfn: RealFunction, grid: SampleGrid, *,
-                       tables: LqTables) -> np.ndarray:
-    """Integral of the weight over each grid cell, via one cumulative table."""
-    lo = float(m.inv_cdf(grid.t_lo))
-    hi = float(m.inv_cdf(grid.t_hi))
-    clipped = replace(wfn, support=make_interval(m, lo, hi), levels=None)
-    tab = tables.get(m, clipped, 1, cells=max(2048, 2 * grid.ts.size))
+def weight_cell_masses(m: RadonMeasure, wfn: RealFunction, grid: SampleGrid) -> np.ndarray:
+    """Integral of the weight over each grid cell, each cell on its own
+    (measure._interval_integrals)."""
     edges = np.concatenate([grid.ts - grid.cell / 2.0, [grid.t_hi]])
-    return np.asarray(tab.mass_between(edges[:-1], edges[1:]), float)
-
-
-def _top(prof: np.ndarray) -> float:
-    vals = prof[np.isfinite(prof)]
-    return float(vals.max()) if vals.size else 0.0
-
-
-def _levels(values: np.ndarray, prof: np.ndarray,
-            floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every distinct finite value v >= floor of prof, ascending, with the
-    sum of values over {prof >= v}.
-
-    That sum is the left limit S(v-) of the step function
-    S(lam) = sum of values over {prof > lam}.  So for k >= 0 and rhs
-    continuous and nonincreasing, the sup of lam^k * S(lam)^e / rhs(lam)
-    over floor <= lam <= max(prof) is the max of v^k * S(v-)^e / rhs(v)
-    over these levels.  NaN points are in no level set and +inf points
-    in every one.  A profile with no positive finite value gives the one
-    level 1, and one with none at or above the floor the one level floor."""
-    if not _top(prof) > 0.0:
-        floor = 1.0
-    order = np.argsort(-prof, kind="stable")    # NaN sorts last: in no sum
-    desc = prof[order]
-    sums = np.cumsum(values[order])
-    last = np.append(desc[1:] != desc[:-1], True)
-    sel = last & np.isfinite(desc) & (desc >= floor)
-    if not sel.any():
-        return np.array([floor]), np.array([values[prof >= floor].sum()])
-    return desc[sel][::-1], sums[sel][::-1]
+    return _interval_integrals(m, wfn, edges[:-1], edges[1:])
 
 
 def _ratio(lhs, rhs) -> np.ndarray:
@@ -607,7 +575,7 @@ def _thm21(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     cond = _weight_gate(scn, m, wgt, q, q1, beta, gs)
     fam = _scenario_functions(scn, alpha)
     grid = sample_grid(m, scn.window_mass, scn.samples * gs)
-    wmass = weight_cell_masses(m, wgt.powered(theta), grid, tables=tables)
+    wmass = weight_cell_masses(m, wgt.powered(theta), grid)
     details = {"theta": theta, "weight_condition": cond.constant,
                "weight_intervals": cond.interval_count}
     if part2:
@@ -688,7 +656,7 @@ def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
              f"{scn.name}: weight failed the mass-concentration sampling")
 
     grid = sample_grid(m, scn.window_mass, scn.samples * gs)
-    wmass = weight_cell_masses(m, wgt.fn, grid, tables=tables)
+    wmass = weight_cell_masses(m, wgt.fn, grid)
     details = {"growth_constant": growth, "delta_hat": delta_hat, "eps": 0.5,
                "p": p.value, "amalgam_norms": {}}
 
@@ -880,7 +848,7 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         expo = (q1.recip - alpha1.recip) / inv_s
         wgt = _scenario_weight(scn)
         cond = _weight_gate(scn, m, wgt, q, q1, beta, gs)
-        wmass = weight_cell_masses(m, wgt.powered(theta), grid, tables=tables)
+        wmass = weight_cell_masses(m, wgt.powered(theta), grid)
         details.update({"theta": theta, "s": 1.0 / inv_s,
                         "weight_condition": cond.constant,
                         "interpolation_exponent": expo})

@@ -141,9 +141,9 @@ class LqTables:
     """The LqTables of one computation, each built on first use.
 
     Every run of a scenario rebuilds its measure and functions, so a table
-    is found by value: the measure's key, q, the cell count, and f's
-    label, support, singular points, breakpoints and its values there and
-    at eleven points across the support.  The label alone would not do: a
+    is found by value: the measure's key, q, and f's label, support,
+    singular points, breakpoints and its values there and at eleven
+    points across the support.  The label alone would not do: a
     restricted f keeps its label on another support, and a tent's height
     or a power's coefficient is not in it.  An infinite q has no table:
     get gives None.
@@ -152,8 +152,7 @@ class LqTables:
     def __init__(self):
         self._tables: dict[tuple, LqTable] = {}
 
-    def get(self, m: RadonMeasure, f: RealFunction, q,
-            cells: int = 4096) -> LqTable | None:
+    def get(self, m: RadonMeasure, f: RealFunction, q) -> LqTable | None:
         q = Exponent.of(q)
         if q.is_inf:
             return None
@@ -161,11 +160,11 @@ class LqTables:
             probe = np.concatenate([f.singularities, f.breakpoints,
                                     np.linspace(f.support.a, f.support.b, 11)])
             values = np.asarray(f(probe), float)
-        key = (m.key, q.value, cells, f.label, f.support.a, f.support.b,
+        key = (m.key, q.value, f.label, f.support.a, f.support.b,
                f.singularities, f.breakpoints, values.tobytes())
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = LqTable(m, f, q, cells)
+            table = self._tables[key] = LqTable(m, f, q)
         return table
 
 
@@ -180,11 +179,19 @@ def _sample_abs(m: RadonMeasure, f: RealFunction, t_lo: float, t_hi: float,
 
 def lq_norm(m: RadonMeasure, f: RealFunction, interval: IntervalRC,
             q, tol: float = 1e-8) -> float:
-    """L^q(mu) norm of f over the interval; q may be inf (sampled sup)."""
+    """L^q(mu) norm of f over the interval; for q = inf the sup of |f| at
+    4097 sampled midpoints, the left end and f's singular points and
+    breakpoints in [a, b), where a spike peaks (NaN values ignored)."""
     q = Exponent.of(q)
     t_lo, t_hi = m.cdf(interval.a), m.cdf(interval.b)
     if q.is_inf:
-        vals = _sample_abs(m, f, t_lo, t_hi, 4097)
+        marked = [x for x in (*getattr(f, "singularities", ()),
+                              *getattr(f, "breakpoints", ()))
+                  if interval.a <= x < interval.b]
+        with np.errstate(divide="ignore", over="ignore"):
+            ends = np.abs(np.asarray(f(np.array([interval.a, *marked])), float))
+        vals = np.concatenate([_sample_abs(m, f, t_lo, t_hi, 4097), ends])
+        vals = vals[~np.isnan(vals)]
         return float(np.max(vals)) if vals.size else 0.0
     qv = q.value
 
@@ -212,41 +219,61 @@ def level_set_mass(m: RadonMeasure, f: RealFunction, lam: float,
     return float(np.count_nonzero(hits)) * (t_hi - t_lo) / samples
 
 
+def _top(prof: np.ndarray) -> float:
+    vals = prof[np.isfinite(prof)]
+    return float(vals.max()) if vals.size else 0.0
+
+
+def _levels(values: np.ndarray, prof: np.ndarray,
+            floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct finite value v >= floor of prof, ascending, with the
+    sum of values over {prof >= v}.
+
+    That sum is the left limit S(v-) of the step function
+    S(lam) = sum of values over {prof > lam}.  So for k >= 0 and rhs
+    continuous and nonincreasing, the sup of lam^k * S(lam)^e / rhs(lam)
+    over floor <= lam <= max(prof) is the max of v^k * S(v-)^e / rhs(v)
+    over these levels.  NaN points are in no level set and +inf points
+    in every one.  A profile with no positive finite value gives the one
+    level 1, and one with none at or above the floor the one level floor."""
+    if not _top(prof) > 0.0:
+        floor = 1.0
+    order = np.argsort(-prof, kind="stable")    # NaN sorts last: in no sum
+    desc = prof[order]
+    sums = np.cumsum(values[order])
+    last = np.append(desc[1:] != desc[:-1], True)
+    sel = last & np.isfinite(desc) & (desc >= floor)
+    if not sel.any():
+        return np.array([floor]), np.array([values[prof >= floor].sum()])
+    return desc[sel][::-1], sums[sel][::-1]
+
+
 def weak_norm(m: RadonMeasure, f: RealFunction, alpha,
               lambda_grid_size: int = 512) -> float:
-    """Weak L^alpha norm: sup_lam lam * mu(|f| > lam)^(1/alpha).
-
-    The sup is scanned on a log grid over the observed range of |f|;
-    each level also contributes the closed-set candidate
-    lam * mu(|f| >= lam)^(1/alpha), which is the left limit of admissible
-    values and pins down plateau functions exactly.
+    """Weak L^alpha norm: sup_lam lam * mu(|f| > lam)^(1/alpha), over lam
+    from max(smallest positive sample, 1e-15 * largest) of |f| at 4096
+    equal cells.  Without declared levels mu counts the cells above lam,
+    so the sup is exact at the samples (_levels).  With them lam runs
+    over lambda_grid_size geometric levels, each with the exact mass of
+    the open and the closed level set (the left limit; exact on plateaus).
     """
     alpha = Exponent.of(alpha)
     if alpha.is_inf:
         return lq_norm(m, f, f.support, alpha)
     t_lo, t_hi = _t_range(m, f)
     vals = _sample_abs(m, f, t_lo, t_hi, 4096)
-    finite = vals[np.isfinite(vals)]
-    pos = finite[finite > 0.0]
-    if pos.size == 0:
+    top = _top(vals)
+    if not top > 0.0:
         return 0.0
-    top = float(np.max(pos))
-    bottom = float(np.min(pos))
-    lams = np.geomspace(max(bottom, top * 1e-15), top, lambda_grid_size)
+    floor = max(float(np.min(vals[vals > 0.0])), top * 1e-15)
     ra = alpha.recip
     if f.levels is None:
-        if f.tail_bound > 0.0 and lams[0] < f.tail_bound:
+        if f.tail_bound > 0.0 and floor < f.tail_bound:
             return np.inf
-        # Pure sampling: count exceedances for all levels in one sort.
-        cell = (t_hi - t_lo) / vals.size
-        svals = np.sort(vals)
-        open_cnt = vals.size - np.searchsorted(svals, lams, side="right")
-        closed_cnt = vals.size - np.searchsorted(svals, lams, side="left")
-        cand = np.concatenate([lams * (open_cnt * cell) ** ra,
-                               lams * (closed_cnt * cell) ** ra])
-        return float(np.max(cand))
+        lams, mus = _levels(np.full(vals.shape, (t_hi - t_lo) / vals.size), vals, floor)
+        return float(np.max(lams * mus ** ra))
     best = 0.0
-    for lam in lams:
+    for lam in np.geomspace(floor, top, lambda_grid_size):
         for strict in (True, False):
             mass = level_set_mass(m, f, lam, strict=strict)
             cand = lam * mass ** ra if np.isfinite(mass) else np.inf
@@ -389,18 +416,15 @@ def amalgam_norm(m: RadonMeasure, f: RealFunction, q, p, alpha,
         return float(value), 0.0
     if r_grid is None:
         r_grid = default_r_grid(m.mass(f.support))
+    # q <= alpha <= p and alpha < p leave q finite.
     expo = alpha.recip - q.recip
-    if q.is_inf:
-        def scan(rs):
-            return np.array([r ** expo * block_norm(m, f, q, p, r, x0=x0) for r in rs])
-    else:
-        if table is None:
-            table = LqTable(m, f, q)
-        t0 = m.cdf(x0)
-        t_lo, t_hi = _t_range(m, f)
+    if table is None:
+        table = LqTable(m, f, q)
+    t0 = m.cdf(x0)
+    t_lo, t_hi = _t_range(m, f)
 
-        def scan(rs):
-            return _scale_values(table, p, f.tail_bound, expo, t0, t_lo, t_hi, rs)
+    def scan(rs):
+        return _scale_values(table, p, f.tail_bound, expo, t0, t_lo, t_hi, rs)
 
     vals = scan(r_grid)
     if not np.any(vals > 0.0):

@@ -26,11 +26,13 @@ from amalgam.harness import (
     run_scenario,
     sample_grid,
     verify_scenario,
+    weight_cell_masses,
     write_report,
 )
 from amalgam.functions import power_function, tent
 from amalgam.measure import lebesgue, make_interval, power_measure
 from amalgam.norms import Exponent, LqTable, LqTables
+from amalgam.weights import make_weight
 
 THM21_BLOCK = {
     "target": "thm21_part1",
@@ -269,6 +271,14 @@ def test_cli_norm_power_measure(capsys):
                  "--q", "1", "--p", "inf", "--alpha", "1", "--r", "1"])
     assert code == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(2.0, rel=1e-6)
+
+
+def test_cli_norm_sup_of_a_spike(capsys):
+    # alpha = p = inf is the sup of |f|, here at the window's left end.
+    code = main(["norm", "--measure", "lebesgue", "--function", "power:-0.25:0.05:2",
+                 "--q", "1", "--p", "inf", "--alpha", "inf"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "2.11474252688"
 
 
 def test_cli_maximal(capsys):
@@ -609,7 +619,7 @@ def test_traced_verify_counts_profile_and_keeps_report(tmp_path, monkeypatch):
 
 # LqTables built by one verify_scenario, base and refined run together:
 # every table is distinct, so the count is the distinct count.
-TABLE_BUILDS = {"lem33_lebesgue": 3, "thm21_part2_custom": 5,
+TABLE_BUILDS = {"lem33_lebesgue": 3, "thm21_part2_custom": 3,
                 "prop41_alpha15": 3, "lem32_power": 2}
 
 
@@ -618,9 +628,9 @@ def test_verify_builds_each_table_once_and_serves_it_exact(stem, monkeypatch):
     served, built = [], []
     get, init = LqTables.get, LqTable.__init__
 
-    def counting_get(self, m, f, q, cells=4096):
-        table = get(self, m, f, q, cells)
-        served.append((m, f, q, cells, table))
+    def counting_get(self, m, f, q):
+        table = get(self, m, f, q)
+        served.append((m, f, q, table))
         return table
 
     def counting_init(self, *args, **kwargs):
@@ -636,8 +646,8 @@ def test_verify_builds_each_table_once_and_serves_it_exact(stem, monkeypatch):
     assert len(served) > len(built)     # tables are served more often than built
     contents = {(t.t_edges.tobytes(), t.cum.tobytes()) for t in built}
     assert len(contents) == len(built)
-    for m, f, q, cells, table in served:
-        fresh = LqTable(m, f, Exponent.of(q), cells)
+    for m, f, q, table in served:
+        fresh = LqTable(m, f, Exponent.of(q))
         assert np.array_equal(table.t_edges, fresh.t_edges)
         assert np.array_equal(table.cum, fresh.cum)
 
@@ -649,7 +659,6 @@ def test_tables_are_keyed_by_value_not_by_label():
     same = tables.get(power_measure(0.4), power_function(-0.5, (0.05, 2.0)), 1)
     assert tables.get(m, f, 1) is same
     assert tables.get(m, f, 1.5) is not same
-    assert tables.get(m, f, 1, cells=2048) is not same
     assert tables.get(m, f, "inf") is None
     # lem32's f|I keeps one label at every height, on another support.
     restricted = [replace(f, support=make_interval(m, 0.05, hi), levels=None,
@@ -663,3 +672,53 @@ def test_tables_are_keyed_by_value_not_by_label():
     assert tables.get(m, tent(-1.0, 1.0, 2.0), 1) is not tables.get(m, tent(-1.0, 1.0), 1)
     double = power_function(-0.5, (0.05, 2.0), coefficient=2.0)
     assert double.label == f.label and tables.get(m, double, 1) is not same
+
+
+@pytest.mark.parametrize("samples", [512, 1024, 2048])
+@pytest.mark.parametrize("c", [0.05, 0.3, 0.5])
+@pytest.mark.parametrize("m", [lebesgue(), power_measure(0.5)], ids=["lebesgue", "power0.5"])
+def test_weight_cell_masses_are_exact_cell_integrals(m, c, samples):
+    # In measure coordinates |x|^c = ((1 - a)|t|)^e with e = c / (1 - a)
+    # for d mu = |x|^-a dx (a = 0: Lebesgue), whose integral is closed.
+    grid = sample_grid(m, 8.0, samples)
+    wmass = weight_cell_masses(m, make_weight({"kind": "power", "b": c}).fn, grid)
+    a = m.a if m.kind == "power" else 0.0
+    e = c / (1.0 - a)
+    edges = np.concatenate([grid.ts - grid.cell / 2.0, [grid.t_hi]])
+    prim = np.sign(edges) * (1.0 - a) ** e * np.abs(edges) ** (e + 1.0) / (e + 1.0)
+    np.testing.assert_allclose(wmass, np.diff(prim), rtol=1e-11, atol=0.0)
+
+
+def _fake_report(d: Path, stem: str, constant: float, verdict: str, csv_row: str):
+    (d / f"{stem}.json").write_text(json.dumps(
+        {"empirical_constant": constant, "verdict": verdict}, sort_keys=True))
+    (d / f"{stem}.csv").write_text(f"ratio\n{csv_row}\n")
+
+
+def test_compare_reports_smoke(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir(), new.mkdir()
+    for d in (old, new):
+        _fake_report(d, "same", 1.5, "pass", "1.5")
+        (d / "sweep_summary.json").write_text(json.dumps([]))
+    _fake_report(old, "moved", 2.0, "pass", "2.0")
+    _fake_report(new, "moved", 1.5, "pass", "1.5")
+    assert script.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "moved  2.0 -> 1.5  (-2.50e-01)  pass -> pass", "same  identical"]
+    _fake_report(new, "moved", 1.5, "fail", "1.5")
+    assert script.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "moved  2.0 -> 1.5  (-2.50e-01)  pass -> fail"
+    (new / "same.json").unlink()
+    assert script.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "same  only in OLD"
+    # The reports of a real sweep compare identical with themselves.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", "scenarios/norms_identity.json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert script.main([str(out), str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["norms_identity  identical"]

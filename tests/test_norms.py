@@ -349,3 +349,57 @@ def test_embedding_ratio_bounded():
 def test_level_set_indicator_property(a, width, lam):
     f = indicator(a, a + width)
     assert level_set_mass(LEB, f, lam) == pytest.approx(width, rel=1e-9)
+
+
+def test_amalgam_q_inf_is_the_sup_norm():
+    # q <= alpha <= p, so q = inf leaves only alpha = p = inf: the sup of |f|.
+    m = power_measure(0.4)
+    for f in (CHI01, tent(-1.0, 1.5), power_function(-0.25, (0.05, 2.0))):
+        assert amalgam_norm(m, f, "inf", "inf", "inf") == (lq_norm(m, f, f.support, "inf"), 0.0)
+    for alpha in (1, 2, 8):
+        with pytest.raises(TrivialSpaceError):
+            amalgam_norm(m, CHI01, "inf", "inf", alpha)
+
+
+def test_lq_sup_norm_reads_the_declared_points():
+    # The peak of a spike sits on the support's left end, a tent's on a
+    # breakpoint and a Riesz kernel's on its singular point: none is a
+    # sampled midpoint.
+    f = power_function(-0.25, (0.05, 2.0))
+    assert lq_norm(LEB, f, f.support, "inf") == pytest.approx(0.05 ** -0.25, rel=1e-15)
+    assert lq_norm(LEB, tent(-1.0, 1.2), IntervalRC(-1.0, 1.2), "inf") == 1.0
+    spike = riesz_kernel_function(0.5, (-1.0, 1.0))
+    assert lq_norm(LEB, spike, spike.support, "inf") == math.inf
+    # A point outside [a, b) is not read; NaN values are skipped.
+    assert lq_norm(LEB, f, IntervalRC(1.0, 2.0), "inf") == pytest.approx(1.0, rel=1e-3)
+    half_nan = replace(CHI01, eval=lambda x: np.where(x < 0.5, np.nan, 1.0))
+    assert lq_norm(LEB, half_nan, CHI01.support, "inf") == 1.0
+
+
+def _geometric_weak_scan(v, cell, alpha, n=512):
+    """The earlier sampled weak norm: open and closed counts of the samples
+    v on n geometric levels from the smallest positive sample to the top."""
+    pos = v[v > 0.0]
+    lams = np.geomspace(max(pos.min(), pos.max() * 1e-15), pos.max(), n)
+    s = np.sort(v)
+    counts = np.concatenate([v.size - np.searchsorted(s, lams, side="right"),
+                             v.size - np.searchsorted(s, lams, side="left")])
+    return float(np.max(np.tile(lams, 2) * (counts * cell) ** (1.0 / alpha)))
+
+
+@pytest.mark.parametrize("m", [LEB, power_measure(0.5)], ids=["lebesgue", "power0.5"])
+@pytest.mark.parametrize("alpha", [1.5, 2, 4])
+def test_weak_norm_of_samples_is_their_exact_sup(m, alpha):
+    # Without declared levels, mu(|f| > lam) is the mass of the sampled
+    # cells above lam, so the sup is a max over the samples v of
+    # v * (cell * #{samples >= v})^(1/alpha).
+    f = power_twist(tent(-1.0, 1.0), 0.25)
+    assert f.levels is None
+    t_lo, t_hi = m.cdf(f.support.a), m.cdf(f.support.b)
+    cell = (t_hi - t_lo) / 4096
+    v = np.abs(f(m.inv_cdf(t_lo + cell * (np.arange(4096) + 0.5))))
+    counts = np.count_nonzero(v[None, :] >= v[:, None], axis=1)
+    brute = float(np.max(v * (cell * counts) ** (1.0 / alpha)))
+    val = weak_norm(m, f, alpha)
+    assert val == pytest.approx(brute, rel=1e-12)
+    assert val >= _geometric_weak_scan(v, cell, alpha)
