@@ -6,8 +6,10 @@
 Prints one line per scenario: `identical` when its report .json and .csv
 are byte-equal in both directories, else the old and new empirical
 constant, the relative move (new - old) / |old| and both verdicts.  A
-scenario with a report on one side only is listed as such.  Exits 1 if
-any verdict changed (a one-sided report counts as a change), else 0.
+scenario with a report on one side only is listed as such.  A last line
+counts them: `N identical, N moved, N verdict changes, N one-sided`.
+Exits 1 if any verdict changed (a one-sided report counts as a change),
+else 0.
 """
 
 import argparse
@@ -38,23 +40,27 @@ def _move(a: float, b: float) -> str:
 
 def compare(old: Path, new: Path, out=sys.stdout) -> int:
     old_stems, new_stems = _stems(old), _stems(new)
-    changed = 0
+    identical = moved = verdicts = one_sided = 0
     for stem in sorted(old_stems | new_stems):
         if stem not in new_stems or stem not in old_stems:
             side = "OLD" if stem in old_stems else "NEW"
             print(f"{stem}  only in {side}", file=out)
-            changed += 1
+            one_sided += 1
             continue
         if _same_bytes(old, new, stem):
             print(f"{stem}  identical", file=out)
+            identical += 1
             continue
         a = json.loads((old / f"{stem}.json").read_text())
         b = json.loads((new / f"{stem}.json").read_text())
         ca, cb = a["empirical_constant"], b["empirical_constant"]
         print(f"{stem}  {ca!r} -> {cb!r}  ({_move(ca, cb)})  "
               f"{a['verdict']} -> {b['verdict']}", file=out)
-        changed += a["verdict"] != b["verdict"]
-    return 1 if changed else 0
+        moved += 1
+        verdicts += a["verdict"] != b["verdict"]
+    print(f"{identical} identical, {moved} moved, {verdicts} verdict changes, "
+          f"{one_sided} one-sided", file=out)
+    return 1 if verdicts or one_sided else 0
 
 
 def main(argv=None) -> int:

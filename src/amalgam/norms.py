@@ -180,14 +180,16 @@ def _sample_abs(m: RadonMeasure, f: RealFunction, t_lo: float, t_hi: float,
 def lq_norm(m: RadonMeasure, f: RealFunction, interval: IntervalRC,
             q, tol: float = 1e-8) -> float:
     """L^q(mu) norm of f over the interval; for q = inf the sup of |f| at
-    4097 sampled midpoints, the left end and f's singular points and
-    breakpoints in [a, b), where a spike peaks (NaN values ignored)."""
+    4097 sampled midpoints, the left end, the double just below the right
+    end (the left limit there) and f's singular points and breakpoints in
+    [a, b), where a spike peaks (NaN values ignored)."""
     q = Exponent.of(q)
     t_lo, t_hi = m.cdf(interval.a), m.cdf(interval.b)
     if q.is_inf:
         marked = [x for x in (*getattr(f, "singularities", ()),
                               *getattr(f, "breakpoints", ()))
                   if interval.a <= x < interval.b]
+        marked.append(np.nextafter(interval.b, -np.inf))
         with np.errstate(divide="ignore", over="ignore"):
             ends = np.abs(np.asarray(f(np.array([interval.a, *marked])), float))
         vals = np.concatenate([_sample_abs(m, f, t_lo, t_hi, 4097), ends])

@@ -281,6 +281,15 @@ def test_cli_norm_sup_of_a_spike(capsys):
     assert capsys.readouterr().out.strip() == "2.11474252688"
 
 
+def test_cli_norm_sup_at_the_right_end(capsys):
+    # |x|^0.5 on [0.05, 2) approaches its sup sqrt 2 at the right end,
+    # which [a, b) leaves out: the left limit there is read.
+    code = main(["norm", "--measure", "lebesgue", "--function", "power:0.5:0.05:2",
+                 "--q", "1", "--p", "inf", "--alpha", "inf"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "1.41421356237"
+
+
 def test_cli_maximal(capsys):
     code = main(["maximal", "--measure", "lebesgue", "--function",
                  "indicator:0:1", "--q", "1", "--beta", "inf", "--x", "2"])
@@ -709,16 +718,22 @@ def test_compare_reports_smoke(tmp_path, capsys):
     _fake_report(new, "moved", 1.5, "pass", "1.5")
     assert script.main([str(old), str(new)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "moved  2.0 -> 1.5  (-2.50e-01)  pass -> pass", "same  identical"]
+        "moved  2.0 -> 1.5  (-2.50e-01)  pass -> pass", "same  identical",
+        "1 identical, 1 moved, 0 verdict changes, 0 one-sided"]
     _fake_report(new, "moved", 1.5, "fail", "1.5")
     assert script.main([str(old), str(new)]) == 1
-    assert capsys.readouterr().out.splitlines()[0] == "moved  2.0 -> 1.5  (-2.50e-01)  pass -> fail"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "moved  2.0 -> 1.5  (-2.50e-01)  pass -> fail"
+    assert lines[-1] == "1 identical, 1 moved, 1 verdict changes, 0 one-sided"
     (new / "same.json").unlink()
     assert script.main([str(old), str(new)]) == 1
-    assert capsys.readouterr().out.splitlines()[1] == "same  only in OLD"
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "same  only in OLD", "0 identical, 1 moved, 1 verdict changes, 1 one-sided"]
     # The reports of a real sweep compare identical with themselves.
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", "scenarios/norms_identity.json", "--out", str(out)]) == 0
     capsys.readouterr()
     assert script.main([str(out), str(out)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["norms_identity  identical"]
+    assert capsys.readouterr().out.splitlines() == [
+        "norms_identity  identical",
+        "1 identical, 0 moved, 0 verdict changes, 0 one-sided"]

@@ -513,6 +513,70 @@ def test_maximal_profile_blocks_stay_small(width):
     assert peak < 2_000_000
 
 
+def _dense_outer_sups(s, ends, pts, k):
+    """Every value of the (ends, points) array, max over the ends."""
+    d = np.abs(pts - ends[:, None])
+    d **= k
+    d *= s[:, None]
+    return d.max(axis=0, initial=0.0)
+
+
+def _outer_calls(seed, n, ties, support=None):
+    """The two _outer_sups calls of _edge_sups on n random edges, with C
+    moving first at edge a + 1 and last at edge b, (a, b) = support or
+    random, and a share `ties` of zero steps between (runs of equal s)."""
+    rng = np.random.default_rng(seed)
+    E = np.cumsum(rng.uniform(0.01, 1.0, n)) * 10.0 ** rng.integers(-6, 4)
+    steps = rng.exponential(1.0, n) * (rng.random(n) >= ties)
+    a, b = support or sorted(rng.choice(n, 2, replace=False))
+    steps[:a + 1] = steps[b + 1:] = 0.0
+    steps[a + 1] = steps[b] = 1.0
+    C = np.cumsum(steps)
+    i0 = int(np.searchsorted(C, C[0], side="right")) - 1
+    i1 = int(np.searchsorted(C, C[-1], side="left"))
+    return [(C[i0 + 1:i1 + 1] - C[i0], E[i0 + 1:i1 + 1], E[:i0]),
+            (C[i1] - C[i0:i1], E[i0:i1], E[i1 + 1:])]
+
+
+OUTER_K = [0.0, -1e-3, -0.5, -1.0, -3.0]
+
+
+@pytest.mark.parametrize("k", OUTER_K)
+@pytest.mark.parametrize("ties", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("seed", range(4))
+def test_outer_sups_match_dense(seed, ties, k):
+    # Both orientations, bit for bit: each value is the dense array's.
+    for n in (4, 37, 300):
+        for s, ends, pts in _outer_calls(seed, n, ties):
+            assert np.array_equal(operators._outer_sups(s, ends, pts, k),
+                                  _dense_outer_sups(s, ends, pts, k))
+
+
+@pytest.mark.parametrize("k", OUTER_K)
+def test_outer_sups_one_row_one_column_no_rows(k):
+    rng = np.random.default_rng(3)
+    s = np.sort(rng.uniform(0.5, 2.0, 9))
+    ends = np.sort(rng.uniform(1.0, 2.0, 9))
+    pts = np.sort(rng.uniform(-1.0, 0.0, 6))
+    for args in [(s, ends, pts[2:3]), (s[4:5], ends[4:5], pts),
+                 (s[:1], ends[:1], pts[:1]), (s[::-1], -ends[::-1], pts[:1]),
+                 (s[:1], -ends[:1], pts), (s, ends, pts[:0])]:
+        got = operators._outer_sups(*args, k)
+        assert got.shape == args[2].shape
+        assert np.array_equal(got, _dense_outer_sups(*args, k))
+
+
+def test_outer_sups_sweep_size():
+    # About 2,000 points left of 1,000 support edges, as in a 2048-point
+    # profile of a narrow support.
+    calls = _outer_calls(11, 3500, 0.5, support=(2000, 3000))
+    assert [c[2].size for c in calls] == [2000, 499]
+    assert [c[0].size for c in calls] == [1000, 1000]
+    for s, ends, pts in calls:
+        assert np.array_equal(operators._outer_sups(s, ends, pts, -0.75),
+                              _dense_outer_sups(s, ends, pts, -0.75))
+
+
 def test_maximal_profile_zero_function():
     xs = np.array([-1.0, 0.5, 3.0])
     assert np.array_equal(maximal_profile(LEB, ZERO, 1, math.inf, xs), np.zeros(3))
