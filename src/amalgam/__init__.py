@@ -13,8 +13,7 @@ from .functions import (RealFunction, indicator, level_set_intervals,
 from .norms import (Exponent, LqTable, TrivialSpaceError, amalgam_norm,
                     block_norm, default_r_grid, level_set_mass, lq_norm,
                     weak_norm)
-from .operators import (Kernel, MaximalQuery, default_mass_grid, default_query,
-                        farfield_bound_check, make_kernel, maximal,
+from .operators import (Kernel, farfield_bound_check, make_kernel, maximal,
                         maximal_profile, potential, potential_profile,
                         riesz_kernel, riesz_potential, riesz_via_power_measure,
                         table_kernel)

@@ -21,11 +21,11 @@ values instead of points x edges.  The edges of a midpoint grid contain
 those of the grid with half its points, so a refined grid's family
 holds every coarser interval.
 
-The pointwise maximal() scans a two-parameter candidate family instead:
-an interval containing x is determined by the mass u to the left of x
-and v to the right, so candidates are (total mass, left fraction)
-pairs, and a coordinate golden-section polish in (log u, log v)
-tightens the grid winner; its value is a lower bound of the true sup.
+The pointwise maximal() is exact over the table's interpolated C: with
+one end fixed, an interval's value has no interior maximum on a linear
+piece of C, so both ends lie on the table's edges or at t_x.  A best
+pair over a coarse subset of those ends starts alternating line maxima,
+one vector pass over the edges per end, until a round brings no gain.
 
 The potential K f(x) = int k(x - y) f(y) dmu(y) integrates in measure
 coordinates with the panel layout split at x, at the support edges and
@@ -52,15 +52,13 @@ from .functions import RealFunction, power_twist
 from .measure import (GK_WEIGHTS, DivergenceError, EvaluationError,
                       IntervalRC, RadonMeasure, _cuts, _gk_nodes, _integrate_t,
                       _ladder_tail, _segment_runs, lebesgue, power_measure)
-from .norms import Exponent, LqTable, _golden_max, _t_layout
+from .norms import Exponent, LqTable, _t_layout, lq_norm
 
 __all__ = [
     "Kernel",
     "riesz_kernel",
     "table_kernel",
     "make_kernel",
-    "MaximalQuery",
-    "default_query",
     "maximal",
     "maximal_profile",
     "potential",
@@ -75,6 +73,9 @@ __all__ = [
 _PROFILE_BATCH = 32
 # Values per block array of maximal_profile's inside-support pass (256 KB).
 _EDGE_BLOCK = 1 << 15
+# Every _COARSE_STRIDE-th table edge is an end of pointwise maximal's
+# coarse start pairs.
+_COARSE_STRIDE = 32
 
 
 @dataclass
@@ -139,151 +140,90 @@ def make_kernel(spec: dict) -> Kernel:
     raise ValueError(f"unknown kernel kind {spec['kind']!r}")
 
 
-@dataclass(frozen=True)
-class MaximalQuery:
-    """Candidate family for the maximal operator at a point."""
-
-    x: float
-    mass_grid: np.ndarray      # total masses u + v of candidate intervals
-    split_count: int = 17      # left-fraction resolution per total mass
-
-    def fractions(self) -> np.ndarray:
-        n = self.split_count
-        return (np.arange(n) + 1.0) / (n + 1.0)
+def _pair_values(a, ca, b, cb, k: float):
+    """(cb - ca) (b - a)^k, broadcast; 0 where b <= a."""
+    d = b - a
+    return (cb - ca) * np.where(d > 0.0, d, np.inf) ** k
 
 
-def default_mass_grid(m: RadonMeasure, f: RealFunction, xs,
-                      count: int = 64) -> np.ndarray:
-    """Masses from tiny (well below the support mass) to well past the
-    measure distance between the query points and the support."""
-    t_supp = (m.cdf(f.support.a), m.cdf(f.support.b))
-    txs = np.atleast_1d(np.asarray(m.cdf(xs), float))
-    ms = max(t_supp[1] - t_supp[0], 1e-12)
-    d = float(np.max(np.maximum(np.abs(txs - t_supp[0]), np.abs(txs - t_supp[1]))))
-    return np.geomspace(ms / 256.0, 4.0 * (ms + d), count)
+def _table_sup(E: np.ndarray, C: np.ndarray, t_x: float, marks,
+               k: float) -> float:
+    """max of (C(b) - C(a)) (b - a)^k over the ends a <= t_x <= b in the
+    table edges E and t_x, C interpolated; t_x finite, C nondecreasing.
+
+    t_x within 1e-9 (|t_x| + span) of an edge is that edge.  Every left
+    end lies at or below every right end, so the search takes the best
+    pair over a coarse subset of the ends (every _COARSE_STRIDE-th edge,
+    the marks, and t_x with its two neighbours), then alternates line
+    maxima, the best right end for the current left one and the best
+    left end for that, until a round brings no gain.
+    """
+    coarse = np.isin(E, marks)
+    coarse[::_COARSE_STRIDE] = True
+    p = int(np.searchsorted(E, t_x))            # E[p - 1] < t_x <= E[p]
+    near = [i for i in (p - 1, p) if 0 <= i < E.size
+            and abs(E[i] - t_x) <= 1e-9 * (abs(t_x) + E[-1] - E[0])]
+    if near:
+        p = near[-1]
+    else:
+        E, C = np.insert(E, p, t_x), np.insert(C, p, np.interp(t_x, E, C))
+        coarse = np.insert(coarse, p, True)
+    coarse[max(p - 1, 0):p + 2] = True
+    L, CL, R, CR = E[:p + 1], C[:p + 1], E[p:], C[p:]
+    li, ri = np.flatnonzero(coarse[:p + 1]), np.flatnonzero(coarse[p:])
+    vals = _pair_values(L[li, None], CL[li, None], R[ri], CR[ri], k)
+    a, b = np.unravel_index(np.argmax(vals), vals.shape)
+    a, best = li[a], vals[a, b]
+    while True:
+        b = np.argmax(_pair_values(L[a], CL[a], R, CR, k))
+        col = _pair_values(L, CL, R[b], CR[b], k)
+        a = np.argmax(col)
+        if not col[a] > best:
+            return float(best)
+        best = col[a]
 
 
-def default_query(m: RadonMeasure, f: RealFunction, x: float,
-                  count: int = 64, split_count: int = 17) -> MaximalQuery:
-    return MaximalQuery(x=float(x), mass_grid=default_mass_grid(m, f, x, count),
-                        split_count=split_count)
-
-
-def _candidate_value(table: LqTable, t_x, u, v, expo: float, rq: float):
-    """Value of the candidate interval with mass u left / v right of x."""
-    mass = u + v
-    lq = table.mass_between(t_x - u, t_x + v) ** rq
-    return mass ** expo * lq
-
-
-def maximal(m: RadonMeasure, f: RealFunction, q, beta, x: float,
-            query: MaximalQuery | None = None, refine: bool = True,
+def maximal(m: RadonMeasure, f: RealFunction, q, beta, x: float, *,
             table: LqTable | None = None) -> float:
     """Fractional maximal function sup_{I containing x} mu(I)^(1/beta-1/q) |f 1_I|_q.
 
-    A lower bound by construction, up to the qth-mean table error
-    (about 1e-8 relative on very short intervals); refine=True polishes
-    the grid argmax coordinate-wise in (log u, log v), for at most 3
-    rounds over both coordinates.  Each step scans 96 points in one
-    mass_between call, then golden-sections around the best.  The powers
-    are taken point by point as numpy scalar (libm) powers, because
-    array ** can round apart in the last place, so every value is the
-    one the point would get on its own.  A round in which neither
-    coordinate improves leaves the state as it found it, and the next
-    round would repeat it exactly: refinement stops there.
+    Exact over the table's interpolated C.  An interval [a, b] around
+    t_x = F(x) is compared as (C(b) - C(a)) (b - a)^k, k = q/beta - 1 in
+    [-1, 0], whose 1/q power its value is.  With one end fixed this has
+    one critical point on each linear piece of C, a minimum, so the sup
+    has both ends on the table's edges or at t_x (_table_sup).  t_x
+    within 1e-9 (|t_x| + span) of an edge is that edge, as in
+    maximal_profile: below that length the rounding of the interpolated
+    C would be amplified, and just above it a value can still be lifted
+    by a few 1e-10 relative.
+
+    q = inf forces beta = inf, and an interval is worth sup_I |f|: the
+    value is lq_norm over f's support.  NaN x gives NaN, infinite x the
+    limit over unbounded intervals, and a table whose total is not
+    finite gives NaN.
     """
     q, beta = Exponent.of(q), Exponent.of(beta)
     if q.recip < beta.recip:
         raise ValueError(f"maximal operator needs q <= beta "
                          f"(got q={q.value:g}, beta={beta.value:g})")
-    if query is None:
-        query = default_query(m, f, x)
-    t_x = m.cdf(x)
-    expo = beta.recip - q.recip
+    t_x = float(m.cdf(x))
+    if np.isnan(t_x):
+        return np.nan
     if q.is_inf:
-        return _maximal_sup_kind(m, f, beta, t_x, query)
+        return lq_norm(m, f, f.support, q)
     if table is None:
         table = LqTable(m, f, q)
-    rq = 1.0 / q.value
-    fracs = query.fractions()
-    M = query.mass_grid[:, None]
-    u = M * fracs[None, :]
-    v = M - u
-    vals = _candidate_value(table, t_x, u, v, expo, rq)
-    j = int(np.argmax(vals))
-    best = float(vals.flat[j])
-    if not refine or best == 0.0:
-        return best
-    u0, v0 = float(u.flat[j]), float(v.flat[j])
-    # Below this size the table's interpolated masses are cancellation
-    # noise, which would let averages exceed their true sup.
-    span = float(table.t_edges[-1] - table.t_edges[0])
-    size_floor = (abs(t_x) + span) * 1e-9
-    edges, cum = table.t_edges, table.cum
-
-    def scan(uu, vv):
-        # Candidate values along arrays of (u, v), powers element by element.
-        d = table.mass_between(t_x - uu, t_x + vv)
-        return np.array([mm ** expo * dd ** rq for mm, dd in zip(uu + vv, d)])
-
-    def point(uu, vv):
-        c0, c1 = np.interp(np.array((t_x - uu, t_x + vv)), edges, cum)
-        return float((uu + vv) ** expo * max(c1 - c0, 0.0) ** rq)
-
-    for _ in range(3):
-        moved = False
-        for which in (0, 1):
-            cur = (u0, v0)[which]
-            lo = np.log(max(cur * 1e-8, size_floor))
-            hi = np.log(max(cur * 16.0, size_floor * 32.0))
-            if which == 0:
-                w_best, f_best = _scan_then_golden(
-                    lambda ws: scan(np.exp(ws), v0),
-                    lambda w: point(np.exp(w), v0), lo, hi)
-            else:
-                w_best, f_best = _scan_then_golden(
-                    lambda ws: scan(u0, np.exp(ws)),
-                    lambda w: point(u0, np.exp(w)), lo, hi)
-            if f_best > best:
-                best, moved = f_best, True
-                if which == 0:
-                    u0 = float(np.exp(w_best))
-                else:
-                    v0 = float(np.exp(w_best))
-        if not moved:
-            break
-    return best
-
-
-def _scan_then_golden(scan_fn, fn, lo, hi, scan: int = 96):
-    # Dense scan first: the objective can sit on a flat zero plateau
-    # (candidate interval missing the support entirely), where golden
-    # section alone stalls.  scan_fn values the whole scan, fn one point.
-    ws = np.linspace(lo, hi, scan)
-    vals = scan_fn(ws)
-    j = int(np.argmax(vals))
-    a = ws[max(j - 1, 0)]
-    b = ws[min(j + 1, scan - 1)]
-    w, fw = _golden_max(fn, a, b)
-    if fw >= vals[j]:
-        return w, fw
-    return ws[j], float(vals[j])
-
-
-def _maximal_sup_kind(m: RadonMeasure, f: RealFunction, beta: Exponent,
-                      t_x: float, query: MaximalQuery) -> float:
-    # q = inf: candidate value is mu(I)^(1/beta) * sup_I |f| (sampled sup),
-    # every (mass, fraction) candidate's samples in one block.
-    masses = np.asarray(query.mass_grid, float)[:, None]
-    fracs = query.fractions()
-    samples = (np.arange(257) + 0.5) / 257.0
-    lo, hi = t_x - fracs * masses, t_x + (1.0 - fracs) * masses
-    ts = lo[..., None] + (hi - lo)[..., None] * samples
-    with np.errstate(divide="ignore", over="ignore"):
-        s = np.max(np.abs(np.asarray(f(m.inv_cdf(ts)), float)), axis=-1)
-    coef = np.array([M ** beta.recip for M in query.mass_grid])
-    # fmax skips a NaN candidate, as max(best, candidate) does.
-    return float(np.fmax.reduce(coef[:, None] * s, axis=None, initial=0.0))
+    C = table.cum
+    if not np.isfinite(C[-1]):
+        return np.nan
+    k = 0.0 if beta.recip == q.recip else q.value * beta.recip - 1.0
+    if np.isinf(t_x):
+        # An unbounded interval holds all of f: the total times inf^k.
+        best = (C[-1] - C[0]) * np.inf ** k
+    else:
+        t_lo, t_hi, sing, brk = _t_layout(m, f)
+        best = _table_sup(table.t_edges, C, t_x, [t_lo, t_hi, *sing, *brk], k)
+    return best if q.value == 1.0 else best ** q.recip
 
 
 def _profile_edges(m: RadonMeasure, f: RealFunction, table: LqTable,
