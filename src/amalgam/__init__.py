@@ -7,9 +7,9 @@ from .measure import (DivergenceError, EvaluationError, IntervalRC, Partition,
                       QuadratureError, RadonMeasure, custom_measure,
                       growth_constant, integrate, lebesgue, make_interval,
                       make_measure, partition, power_measure)
-from .functions import (RealFunction, indicator, level_set_intervals,
-                        make_function, power_function, power_twist, product,
-                        riesz_kernel_function, scaled, table_function, tent)
+from .functions import (RealFunction, indicator, make_function, power_function,
+                        power_twist, product, riesz_kernel_function, scaled,
+                        table_function, tent)
 from .norms import (Exponent, LqTable, TrivialSpaceError, amalgam_norm,
                     block_norm, default_r_grid, level_set_mass, lq_norm,
                     weak_norm)

@@ -2,9 +2,11 @@
 
 A RealFunction bundles a vectorized evaluator with the structure the
 numerics can exploit: effective support, kinks and jumps (breakpoints),
-singular points, and ideally a closed-form description of the superlevel
-sets of |f|.  Functions without declared level structure fall back to
-sampling.
+singular points, and ideally the superlevel sets of |f| in closed form,
+as one sub-interval per monotone piece of |f| for a whole array of
+levels (RealFunction.levels).  norms.level_set_mass turns those into
+masses; functions without them (products, restrictions) are sampled by
+weak_norm.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "product",
     "power_twist",
     "make_function",
-    "level_set_intervals",
 ]
 
 
@@ -36,9 +37,12 @@ class RealFunction:
     """A real function on the line with declared effective support.
 
     Outside `support` the magnitude is bounded by `tail_bound` (zero for
-    every built-in family member).  `levels(lam, strict)` returns the
-    x-intervals of {|f| > lam} (or {|f| >= lam}) when a closed form is
-    known.
+    every built-in family member).  When a closed form is known,
+    `levels(lams, strict)` gives {|f| > lam} (or {|f| >= lam}) for every
+    lam of the 1-d array lams as two float arrays lo, hi of shape
+    (pieces, len(lams)): piece i of level j is [lo[i, j], hi[i, j]], one
+    per monotone piece of |f|, with lo <= hi, lo == hi for an empty piece,
+    and no two pieces overlapping.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -47,18 +51,13 @@ class RealFunction:
     tail_bound: float = 0.0
     singularities: tuple[float, ...] = ()
     breakpoints: tuple[float, ...] = ()
-    levels: Callable[[float, bool], list[tuple[float, float]]] | None = None
+    levels: Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __call__(self, x):
         return self.eval(np.asarray(x, float))
 
     def __repr__(self):
         return f"RealFunction({self.label})"
-
-
-def _clip_interval(lo: float, hi: float, a: float, b: float) -> list[tuple[float, float]]:
-    lo, hi = max(lo, a), min(hi, b)
-    return [(lo, hi)] if hi > lo else []
 
 
 def indicator(a: float, b: float) -> RealFunction:
@@ -69,10 +68,9 @@ def indicator(a: float, b: float) -> RealFunction:
     def ev(x):
         return ((x >= a) & (x < b)).astype(float)
 
-    def levels(lam, strict):
-        if (lam < 1.0) if strict else (lam <= 1.0):
-            return [(a, b)]
-        return []
+    def levels(lams, strict):
+        ok = (lams < 1.0) if strict else (lams <= 1.0)
+        return np.full((1, lams.size), a), np.where(ok, b, a)[None, :]
 
     return RealFunction(eval=ev, support=IntervalRC(a, b), label=f"indicator[{a},{b})",
                         breakpoints=(a, b), levels=levels)
@@ -128,25 +126,18 @@ def table_function(points: Sequence[Sequence[float]], label: str | None = None) 
         flat += at.take(h, out=part)
         return y
 
-    def levels(lam, strict):
-        out: list[tuple[float, float]] = []
-        cur: float | None = None
-        for i in range(len(rx) - 1):
-            x0, x1, y0, y1 = rx[i], rx[i + 1], ay[i], ay[i + 1]
-            ok0 = (y0 > lam) if strict else (y0 >= lam)
-            ok1 = (y1 > lam) if strict else (y1 >= lam)
-            if ok0 and cur is None:
-                cur = x0
-            if ok0 != ok1:
-                xc = x0 + (lam - y0) / (y1 - y0) * (x1 - x0) if y1 != y0 else x1
-                if ok0:
-                    out.append((cur, xc))
-                    cur = None
-                else:
-                    cur = xc
-        if cur is not None:
-            out.append((cur, rx[-1]))
-        return [(float(lo), float(hi)) for lo, hi in out if hi > lo]
+    # One piece per refined segment, on which |f| is linear: the part
+    # above lam starts (rising) or ends (falling) where the line crosses
+    # lam, and a plateau is all or nothing.
+    x0, x1 = rx[:-1, None], rx[1:, None]
+    y0, y1 = ay[:-1, None], ay[1:, None]
+
+    def levels(lams, strict):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xc = np.clip(x0 + (lams - y0) / (y1 - y0) * (x1 - x0), x0, x1)
+        plateau = np.where((y0 > lams) if strict else (y0 >= lams), x1, x0)
+        return (np.where(y1 > y0, xc, x0),
+                np.where(y1 > y0, x1, np.where(y1 < y0, xc, plateau)))
 
     lbl = label or f"table[{xs[0]},{xs[-1]})"
     return RealFunction(eval=ev, support=IntervalRC(float(xs[0]), float(xs[-1])),
@@ -174,23 +165,19 @@ def power_function(exponent: float, window: tuple[float, float],
             out = c * np.abs(x) ** e
         return np.where((x >= w0) & (x < w1), out, 0.0)
 
-    def levels(lam, strict):
-        # |x|-threshold: |c| |x|^e > lam. Strictness is immaterial off
-        # plateaus; e == 0 reduces to an indicator.
-        if c == 0.0:
-            return []
-        if e == 0.0:
-            ok = (abs(c) > lam) if strict else (abs(c) >= lam)
-            return [(w0, w1)] if ok else []
-        if lam <= 0.0:
-            xc = 0.0 if e > 0 else np.inf
-        else:
-            xc = (lam / abs(c)) ** (1.0 / e)
-        if e < 0:
-            body = _clip_interval(-xc, xc, w0, w1)
-        else:
-            body = _clip_interval(xc, np.inf, w0, w1) + _clip_interval(-np.inf, -xc, w0, w1)
-        return sorted(body)
+    def levels(lams, strict):
+        if e == 0.0 or c == 0.0:
+            ok = (abs(c) > lams) if strict else (abs(c) >= lams)
+            return np.full((1, lams.size), w0), np.where(ok, w1, w0)[None, :]
+        # |x|-threshold xc: |c| |x|^e > lam, a set around 0 for e < 0 and
+        # the window's two ends for e > 0.  Strictness is immaterial off
+        # plateaus.
+        with np.errstate(divide="ignore"):
+            xc = (np.maximum(lams, 0.0) / abs(c)) ** (1.0 / e)
+        neg, pos = np.clip([-xc, xc], w0, w1)
+        if e < 0.0:
+            return neg[None, :], pos[None, :]
+        return np.stack([np.full_like(xc, w0), pos]), np.stack([neg, np.full_like(xc, w1)])
 
     return RealFunction(eval=ev, support=IntervalRC(w0, w1),
                         label=f"|x|^{e}on[{w0},{w1})",
@@ -212,8 +199,8 @@ def scaled(f: RealFunction, c: float) -> RealFunction:
     base_levels = f.levels
     levels = None
     if base_levels is not None and c != 0.0:
-        def levels(lam, strict, _b=base_levels, _c=abs(c)):
-            return _b(lam / _c, strict)
+        def levels(lams, strict, _b=base_levels, _c=abs(c)):
+            return _b(lams / _c, strict)
     return replace(f, eval=(lambda x, _e=f.eval, _c=c: _c * _e(x)),
                    label=f"{c}*{f.label}",
                    tail_bound=abs(c) * f.tail_bound, levels=levels)
@@ -260,10 +247,3 @@ def make_function(spec: dict) -> RealFunction:
         return table_function(spec["points"])
     raise ValueError(f"unknown function kind {kind!r}")
 
-
-def level_set_intervals(f: RealFunction, lam: float,
-                        strict: bool = True) -> list[tuple[float, float]] | None:
-    """x-intervals of the superlevel set of |f|, or None if only sampling works."""
-    if f.levels is not None:
-        return f.levels(float(lam), strict)
-    return None

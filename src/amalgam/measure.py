@@ -329,7 +329,6 @@ class _CustomTable:
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         # Shift so that F(0) = 0.
         self._cum = cum - self._cum_from_left(np.array([0.0]), cum)[0]
-        self._cum_at_knots = self._cum
 
     def _cum_from_left(self, x: np.ndarray, cum: np.ndarray) -> np.ndarray:
         xs, ws = self.xs, self.ws
@@ -374,18 +373,18 @@ class _CustomTable:
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
-        out = self._cum_from_left(x, self._cum_at_knots)
+        out = self._cum_from_left(x, self._cum)
         left = x < self.xs[0]
         right = x > self.xs[-1]
         if left.any():
-            out = np.where(left, self._cum_at_knots[0] - self._tail_mass(x, -1), out)
+            out = np.where(left, self._cum[0] - self._tail_mass(x, -1), out)
         if right.any():
-            out = np.where(right, self._cum_at_knots[-1] + self._tail_mass(x, +1), out)
+            out = np.where(right, self._cum[-1] + self._tail_mass(x, +1), out)
         return out
 
     def inv_cdf(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, float)
-        cum = self._cum_at_knots
+        cum = self._cum
         xs, ws = self.xs, self.ws
         idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(xs) - 2)
         x0 = xs[idx]

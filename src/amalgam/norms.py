@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functions import RealFunction, level_set_intervals
+from .functions import RealFunction
 from .measure import (IntervalRC, RadonMeasure, _cuts, _ladder, gk_panels,
                       integrate)
 
@@ -207,18 +207,21 @@ def lq_norm(m: RadonMeasure, f: RealFunction, interval: IntervalRC,
     return val ** (1.0 / qv)
 
 
-def level_set_mass(m: RadonMeasure, f: RealFunction, lam: float,
-                   strict: bool = True, samples: int = 4096) -> float:
-    """mu(|f| > lam) (or >= lam), via declared structure when available."""
-    if f.tail_bound > 0.0 and lam < f.tail_bound:
-        return np.inf
-    pieces = level_set_intervals(f, lam, strict)
-    if pieces is not None:
-        return float(sum(m.cdf(hi) - m.cdf(lo) for lo, hi in pieces if hi > lo))
-    t_lo, t_hi = _t_range(m, f)
-    vals = _sample_abs(m, f, t_lo, t_hi, samples)
-    hits = (vals > lam) if strict else (vals >= lam)
-    return float(np.count_nonzero(hits)) * (t_hi - t_lo) / samples
+def level_set_mass(m: RadonMeasure, f: RealFunction, lam,
+                   strict: bool = True):
+    """mu(|f| > lam) (or >= lam) for a scalar lam (a float) or an array of
+    them (an array of that shape), from f's declared per-piece level sets:
+    one m.cdf call over every piece end of every level.  f without
+    declared levels raises ValueError."""
+    if f.levels is None:
+        raise ValueError(f"{f.label} declares no level sets")
+    lams = np.asarray(lam, float)
+    lo, hi = f.levels(lams.reshape(-1), strict)
+    ends = m.cdf(np.stack([lo, hi]))
+    mass = np.where(hi > lo, ends[1] - ends[0], 0.0).sum(axis=0)
+    if f.tail_bound > 0.0:
+        mass[lams.reshape(-1) < f.tail_bound] = np.inf
+    return float(mass[0]) if lams.ndim == 0 else mass.reshape(lams.shape)
 
 
 def _top(prof: np.ndarray) -> float:
@@ -257,7 +260,8 @@ def weak_norm(m: RadonMeasure, f: RealFunction, alpha,
     equal cells.  Without declared levels mu counts the cells above lam,
     so the sup is exact at the samples (_levels).  With them lam runs
     over lambda_grid_size geometric levels, each with the exact mass of
-    the open and the closed level set (the left limit; exact on plateaus).
+    the open and the closed level set (the left limit; exact on plateaus):
+    two level_set_mass calls over the whole grid.
     """
     alpha = Exponent.of(alpha)
     if alpha.is_inf:
@@ -274,14 +278,9 @@ def weak_norm(m: RadonMeasure, f: RealFunction, alpha,
             return np.inf
         lams, mus = _levels(np.full(vals.shape, (t_hi - t_lo) / vals.size), vals, floor)
         return float(np.max(lams * mus ** ra))
-    best = 0.0
-    for lam in np.geomspace(floor, top, lambda_grid_size):
-        for strict in (True, False):
-            mass = level_set_mass(m, f, lam, strict=strict)
-            cand = lam * mass ** ra if np.isfinite(mass) else np.inf
-            if cand > best:
-                best = float(cand)
-    return best
+    lams = np.geomspace(floor, top, lambda_grid_size)
+    mus = [level_set_mass(m, f, lams, strict) for strict in (True, False)]
+    return float(np.max(lams * np.array(mus) ** ra))
 
 
 def _check_scales(rs: np.ndarray):
@@ -301,15 +300,6 @@ def _block_edges(t0: float, rs: np.ndarray, t_lo: float,
     starts = n.cumsum() - n
     i = np.arange(starts[-1] + n[-1]) + (i_lo - starts).repeat(n)
     return t0 + i * rs.repeat(n), starts, n
-
-
-def _block_values_inf(m: RadonMeasure, f: RealFunction, edges: np.ndarray,
-                      samples: int = 257) -> np.ndarray:
-    frac = (np.arange(samples) + 0.5) / samples
-    ts = edges[:-1, None] + np.diff(edges)[:, None] * frac[None, :]
-    with np.errstate(divide="ignore", over="ignore"):
-        vals = np.abs(np.asarray(f(m.inv_cdf(ts.ravel())), float)).reshape(ts.shape)
-    return np.max(vals, axis=1)
 
 
 def _combine(values: np.ndarray, p: Exponent, tail_candidate: float = 0.0) -> float:
@@ -341,14 +331,17 @@ def block_norm(m: RadonMeasure, f: RealFunction, q, p, r: float,
     Only blocks meeting the effective support are evaluated; with a
     declared nonzero tail bound the remaining blocks contribute
     tail_bound * r^(1/q) apiece (finite only in the sup combination).
+    At q = inf a block's value is lq_norm's sup over it, which reads f's
+    singular points and breakpoints.
     """
     q, p = Exponent.of(q), Exponent.of(p)
     rs = np.array([r], float)
     _check_scales(rs)
     t_lo, t_hi = _t_range(m, f)
     if q.is_inf:
-        edges = _block_edges(m.cdf(x0), rs, t_lo, t_hi)[0]
-        return _combine(_block_values_inf(m, f, edges), p, f.tail_bound)
+        xs = m.inv_cdf(_block_edges(m.cdf(x0), rs, t_lo, t_hi)[0])
+        sups = [lq_norm(m, f, IntervalRC(a, b), q) for a, b in zip(xs[:-1], xs[1:])]
+        return _combine(np.array(sups), p, f.tail_bound)
     if table is None:
         table = LqTable(m, f, q)
     return float(_scale_values(table, p, f.tail_bound, 0.0, m.cdf(x0),

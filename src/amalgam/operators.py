@@ -140,10 +140,10 @@ def make_kernel(spec: dict) -> Kernel:
     raise ValueError(f"unknown kernel kind {spec['kind']!r}")
 
 
-def _pair_values(a, ca, b, cb, k: float):
-    """(cb - ca) (b - a)^k, broadcast; 0 where b <= a."""
+def _pair_values(a, ca, b, cb, k: float, off=0.0):
+    """((cb - ca) + off) (b - a)^k, broadcast; 0 where b <= a."""
     d = b - a
-    return (cb - ca) * np.where(d > 0.0, d, np.inf) ** k
+    return ((cb - ca) + off) * np.where(d > 0.0, d, np.inf) ** k
 
 
 def _table_sup(E: np.ndarray, C: np.ndarray, t_x: float, marks,
@@ -163,24 +163,49 @@ def _table_sup(E: np.ndarray, C: np.ndarray, t_x: float, marks,
     p = int(np.searchsorted(E, t_x))            # E[p - 1] < t_x <= E[p]
     near = [i for i in (p - 1, p) if 0 <= i < E.size
             and abs(E[i] - t_x) <= 1e-9 * (abs(t_x) + E[-1] - E[0])]
+    off = 0.0
     if near:
         p = near[-1]
     else:
-        E, C = np.insert(E, p, t_x), np.insert(C, p, np.interp(t_x, E, C))
+        # t_x splits the cell [E[i], E[j]].  An interpolated C(t_x) is an
+        # ulp of C off, which is much of a piece as short as 1e-7 of the
+        # span.  So t_x takes the C of its nearer edge E[n], and a pair
+        # that ends at t_x adds off = slope * (t_x - E[n]), one that
+        # starts there subtracts it: the short in-cell piece is exactly
+        # slope * length.
+        i, j = max(p - 1, 0), min(p, E.size - 1)
+        n = i if t_x - E[i] < E[j] - t_x else j
+        if j > i:
+            off = (C[j] - C[i]) / (E[j] - E[i]) * (t_x - E[n])
+        E, C = np.insert(E, p, t_x), np.insert(C, p, C[n])
         coarse = np.insert(coarse, p, True)
     coarse[max(p - 1, 0):p + 2] = True
     L, CL, R, CR = E[:p + 1], C[:p + 1], E[p:], C[p:]
+
+    def row(a):                      # every right end for the left end L[a]
+        v = _pair_values(L[a], CL[a], R, CR, k, -off if a == p else 0.0)
+        if off and a < p:
+            v[0] = (CR[0] - CL[a] + off) * (t_x - L[a]) ** k
+        return v
+
+    def col(b):                      # every left end for the right end R[b]
+        v = _pair_values(L, CL, R[b], CR[b], k, off if b == 0 else 0.0)
+        if off and b > 0:
+            v[p] = (CR[b] - CL[p] - off) * (R[b] - t_x) ** k
+        return v
+
     li, ri = np.flatnonzero(coarse[:p + 1]), np.flatnonzero(coarse[p:])
-    vals = _pair_values(L[li, None], CL[li, None], R[ri], CR[ri], k)
+    offs = np.where(ri == 0, off, 0.0) - np.where(li == p, off, 0.0)[:, None]
+    vals = _pair_values(L[li, None], CL[li, None], R[ri], CR[ri], k, offs)
     a, b = np.unravel_index(np.argmax(vals), vals.shape)
     a, best = li[a], vals[a, b]
     while True:
-        b = np.argmax(_pair_values(L[a], CL[a], R, CR, k))
-        col = _pair_values(L, CL, R[b], CR[b], k)
-        a = np.argmax(col)
-        if not col[a] > best:
+        b = np.argmax(row(a))
+        v = col(b)
+        a = np.argmax(v)
+        if not v[a] > best:
             return float(best)
-        best = col[a]
+        best = v[a]
 
 
 def maximal(m: RadonMeasure, f: RealFunction, q, beta, x: float, *,

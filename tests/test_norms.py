@@ -12,6 +12,7 @@ from amalgam.functions import (
     indicator,
     power_function,
     power_twist,
+    product,
     riesz_kernel_function,
     scaled,
     table_function,
@@ -81,9 +82,24 @@ def test_lq_sup_norm():
 
 
 def test_level_set_mass_indicator():
-    assert level_set_mass(LEB, CHI01, 0.5) == pytest.approx(1.0, abs=1e-12)
+    # One piece, [0, 1) or empty; a scalar level gives a float, an array
+    # of levels an array of the same shape.
+    lo, hi = CHI01.levels(np.array([0.5, 1.0]), True)
+    assert lo.tolist() == [[0.0, 0.0]] and hi.tolist() == [[1.0, 0.0]]
+    assert level_set_mass(LEB, CHI01, 0.5) == 1.0
     assert level_set_mass(LEB, CHI01, 1.0) == 0.0
-    assert level_set_mass(LEB, CHI01, 1.0, strict=False) == pytest.approx(1.0, abs=1e-12)
+    assert level_set_mass(LEB, CHI01, 1.0, strict=False) == 1.0
+    lams = np.array([[0.5, 1.0], [1.0, 2.0]])
+    assert level_set_mass(LEB, CHI01, lams).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert level_set_mass(LEB, CHI01, lams, strict=False).tolist() == [[1.0, 1.0],
+                                                                       [1.0, 0.0]]
+
+
+def test_level_set_mass_needs_declared_levels():
+    f = product(CHI01, np.cos, "cos*chi")
+    assert f.levels is None
+    with pytest.raises(ValueError, match="declares no level sets"):
+        level_set_mass(LEB, f, 0.5)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 4])
@@ -121,6 +137,17 @@ def test_block_norm_single_block():
 
 def test_block_norm_two_half_blocks():
     assert block_norm(LEB, CHI01, 1, 1, 0.5) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_block_norm_q_inf_reads_the_declared_points():
+    # A block's sup is lq_norm's, which reads the declared points: the
+    # tent peaks on its breakpoint 0.5, in the block [0.3, 0.6), and the
+    # power on its window's left end 0.05, in [0, 0.7); no sampled
+    # midpoint lies on either.
+    assert block_norm(LEB, tent(0.0, 1.0), "inf", "inf", 0.3) == 1.0
+    f = power_function(-0.5, (0.05, 2.0))
+    assert block_norm(LEB, f, "inf", "inf", 0.7) == pytest.approx(0.05 ** -0.5,
+                                                                  rel=1e-15)
 
 
 def test_block_norm_l2_blocks():
@@ -348,7 +375,11 @@ def test_embedding_ratio_bounded():
        lam=st.floats(0.05, 0.95))
 def test_level_set_indicator_property(a, width, lam):
     f = indicator(a, a + width)
+    lo, hi = f.levels(np.array([lam, 1.0]), True)
+    assert lo.tolist() == [[a, a]] and hi.tolist() == [[a + width, a]]
     assert level_set_mass(LEB, f, lam) == pytest.approx(width, rel=1e-9)
+    masses = level_set_mass(LEB, f, np.array([lam, 1.0]))
+    assert masses[0] == level_set_mass(LEB, f, lam) and masses[1] == 0.0
 
 
 def test_amalgam_q_inf_is_the_sup_norm():
@@ -403,3 +434,47 @@ def test_weak_norm_of_samples_is_their_exact_sup(m, alpha):
     val = weak_norm(m, f, alpha)
     assert val == pytest.approx(brute, rel=1e-12)
     assert val >= _geometric_weak_scan(v, cell, alpha)
+
+
+CUSTOM = custom_measure([[-2.0, 1.0], [-0.5, 0.4], [0.5, 2.0], [2.0, 1.0]],
+                        left_exp=0.5, right_exp=0.0)
+# Every declared kind: the table changes sign twice and has a plateau
+# |f| = 1 on [0, 0.5]; the powers fall (e < 0), rise (e > 0) and rise on
+# both sides of 0 in a window that straddles it.
+DECLARED = [indicator(-0.7, 1.3), tent(-1.0, 1.5),
+            table_function([[-2.0, 0.0], [-1.0, 1.5], [0.0, -1.0], [0.5, -1.0],
+                            [1.0, 0.5], [2.0, 0.0]]),
+            power_function(-0.5, (0.05, 2.0)),
+            power_function(1.5, (0.2, 1.8), coefficient=2.0),
+            power_function(0.7, (-1.2, 0.9)),
+            riesz_kernel_function(0.5, (-1.0, 1.0)),
+            scaled(tent(-1.0, 1.5), -2.5)]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("m", [LEB, power_measure(0.4), CUSTOM],
+                         ids=["lebesgue", "power0.4", "custom"])
+@pytest.mark.parametrize("f", DECLARED, ids=lambda f: f.label)
+def test_levels_pieces_match_a_dense_count(f, m, strict):
+    # The pieces are ordered intervals that do not overlap, and their
+    # mass is the share of a fine grid in measure coordinates with
+    # |f| above lam, up to one cell per piece end.
+    t_lo, t_hi = m.cdf(f.support.a), m.cdf(f.support.b)
+    n = 200_000
+    cell = (t_hi - t_lo) / n
+    v = np.abs(f(m.inv_cdf(t_lo + cell * (np.arange(n) + 0.5))))
+    top = float(v.max())
+    lams = np.array([1e-3 * top, 0.1 * top, 0.37 * top, 0.5 * top, 0.8 * top,
+                     1.0, 1.5, top, 2.0 * top])
+    lo, hi = f.levels(lams, strict)
+    assert lo.shape == hi.shape and lo.shape[1] == lams.size
+    assert np.all(lo <= hi)
+    for j in range(lams.size):
+        full = hi[:, j] > lo[:, j]
+        order = np.argsort(lo[full, j])
+        assert np.all(hi[full, j][order][:-1] <= lo[full, j][order][1:])
+    mass = level_set_mass(m, f, lams, strict)
+    hits = (v[None, :] > lams[:, None]) if strict else (v[None, :] >= lams[:, None])
+    dense = np.count_nonzero(hits, axis=1) * cell
+    assert np.all(np.abs(mass - dense) <= 2 * lo.shape[0] * cell + 1e-12 * dense)
+    assert level_set_mass(m, f, lams[2], strict) == mass[2]

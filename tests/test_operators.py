@@ -12,6 +12,7 @@ from amalgam.functions import (RealFunction, indicator, power_function, scaled,
 from amalgam.measure import (DivergenceError, EvaluationError, IntervalRC,
                              custom_measure, gk_panels, lebesgue, power_measure)
 from amalgam import operators
+from amalgam.cli import main as cli_main
 from amalgam.norms import Exponent, LqTable, lq_norm
 from amalgam.operators import (
     farfield_bound_check,
@@ -696,6 +697,34 @@ def test_maximal_profile_at_most_pointwise(m, f):
         prof = maximal_profile(m, f, q, beta, xs, table=table)
         point = [maximal(m, f, q, beta, x, table=table) for x in xs]
         assert np.all(prof <= np.multiply(point, 1.0 + 1e-12)), (q, beta)
+
+
+NEAR_EDGE_INDICATOR = indicator(-1.348, 0.197)
+
+
+@pytest.mark.parametrize("m", [LEB, power_measure(0.264), power_measure(0.5)],
+                         ids=repr)
+def test_maximal_near_a_table_edge_stays_below_the_sup(m):
+    # An average of an indicator is at most 1.  Just beyond the 1e-9 snap
+    # of an edge, t_x splits a cell; an interpolated C(t_x) an ulp of C
+    # off would lift the short in-cell average by about 5e-9, while the
+    # table's own rounding of C moves a cell average by 1.5e-13 at most.
+    table = LqTable(m, NEAR_EDGE_INDICATOR, Exponent.of(1))
+    E = table.t_edges
+    gaps = np.geomspace(1e-8, 1e-6, 5) * (E[-1] - E[0])
+    ts = (E[::97, None] + np.concatenate([-gaps, gaps])[None, :]).ravel()
+    vals = [maximal(m, NEAR_EDGE_INDICATOR, 1, math.inf, x, table=table)
+            for x in m.inv_cdf(ts)]
+    assert max(vals) <= 1.0 + 1e-12
+
+
+def test_cli_maximal_near_a_table_edge(capsys):
+    # t_x is 2.0e-7 of the span from a table edge.
+    code = cli_main(["maximal", "--measure", "power:0.264", "--function",
+                     "indicator:-1.348:0.197", "--q", "1", "--beta", "inf",
+                     "--x", "0.015"])
+    assert code == 0
+    assert float(capsys.readouterr().out.strip()) <= 1.0
 
 
 def test_farfield_matches_brute_force(monkeypatch):
