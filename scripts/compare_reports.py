@@ -5,7 +5,10 @@
 
 Prints one line per scenario: `identical` when its report .json and .csv
 are byte-equal in both directories, else the old and new empirical
-constant, the relative move (new - old) / |old| and both verdicts.  A
+constant, the relative move (new - old) / |old|, both verdicts and the
+largest relative move |new - old| / |old| over the rows' lhs, rhs_core
+and ratio, which tells a rounding drift from a real move (`n/a` when
+the row counts differ or a moved value is 0 or not finite).  A
 scenario with a report on one side only is listed as such.  A last line
 counts them: `N identical, N moved, N verdict changes, N one-sided`.
 Exits 1 if any verdict changed (a one-sided report counts as a change),
@@ -19,6 +22,7 @@ import sys
 from pathlib import Path
 
 SUMMARY = "sweep_summary.json"
+ROW_FIELDS = ("lhs", "rhs_core", "ratio")
 
 
 def _stems(d: Path) -> set[str]:
@@ -38,6 +42,21 @@ def _move(a: float, b: float) -> str:
     return f"{(b - a) / abs(a):+.2e}"
 
 
+def _rows_move(a: list, b: list) -> str:
+    if len(a) != len(b):
+        return "n/a"
+    worst = 0.0
+    for ra, rb in zip(a, b):
+        for key in ROW_FIELDS:
+            x, y = ra[key], rb[key]
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            if x == 0.0 or not (math.isfinite(x) and math.isfinite(y)):
+                return "n/a"
+            worst = max(worst, abs(y - x) / abs(x))
+    return f"{worst:.2e}" if worst else "0"
+
+
 def compare(old: Path, new: Path, out=sys.stdout) -> int:
     old_stems, new_stems = _stems(old), _stems(new)
     identical = moved = verdicts = one_sided = 0
@@ -55,7 +74,8 @@ def compare(old: Path, new: Path, out=sys.stdout) -> int:
         b = json.loads((new / f"{stem}.json").read_text())
         ca, cb = a["empirical_constant"], b["empirical_constant"]
         print(f"{stem}  {ca!r} -> {cb!r}  ({_move(ca, cb)})  "
-              f"{a['verdict']} -> {b['verdict']}", file=out)
+              f"{a['verdict']} -> {b['verdict']}  "
+              f"rows {_rows_move(a['rows'], b['rows'])}", file=out)
         moved += 1
         verdicts += a["verdict"] != b["verdict"]
     print(f"{identical} identical, {moved} moved, {verdicts} verdict changes, "

@@ -17,7 +17,8 @@ ladder of panels with a geometric tail estimate.  This module owns that
 core for every caller (integrate, _interval_integrals, LqTable, and
 potential and potential_profile in operators): the cuts at singular
 points and breakpoints (_cuts), the ladder panels (_ladder_edges,
-_segment_runs), and its tail and divergence test (_ladder_tail).
+_segment_runs), its tail and divergence test (_ladder_tail), and the
+snap of an end that F rounds beside a singular point onto it (_snap).
 """
 
 from __future__ import annotations
@@ -247,6 +248,24 @@ def _cuts(t_lo: float, t_hi: float, singular_ts: Sequence[float],
     cuts = sorted({t_lo, t_hi, *sing,
                    *(float(t) for t in break_ts if t_lo < t < t_hi)})
     return cuts, [c in sing for c in cuts]
+
+
+def _snap(t: np.ndarray, singular_ts: Sequence[float]) -> np.ndarray:
+    """t with every value within 8 eps max(1, |t|) of a singular point
+    moved onto it.
+
+    F may round an end that sits on a singular point (F(0) of a custom
+    measure is not exactly 0) to a float beside it.  Left there, the end
+    leaves the point outside its interval, with the pole a rounding error
+    away, and the quadrature stalls; on the point, the point gets its
+    ladder.
+    """
+    sing = np.asarray(singular_ts, float)
+    if sing.size == 0:
+        return t
+    ulps = 8.0 * np.finfo(float).eps * max(1.0, float(np.abs(t).max()))
+    s = sing[np.abs(t[..., None] - sing).argmin(axis=-1)]
+    return np.where(np.abs(t - s) <= ulps, s, t)
 
 
 def _integrate_t(phi: Callable, t_lo: float, t_hi: float, tol: float,
@@ -524,15 +543,14 @@ def integrate(m: RadonMeasure, g, interval: IntervalRC, tol: float = 1e-8,
         singularities = getattr(g, "singularities", ())
     if breakpoints is None:
         breakpoints = getattr(g, "breakpoints", ())
-    t_lo = m.cdf(interval.a)
-    t_hi = m.cdf(interval.b)
+    sing_ts = [m.cdf(s) for s in singularities]
+    break_ts = [m.cdf(s) for s in breakpoints]
+    t_lo, t_hi = _snap(np.array([m.cdf(interval.a), m.cdf(interval.b)]), sing_ts)
 
     def phi(t):
         return np.asarray(g(m.inv_cdf(t)), float)
 
-    sing_ts = [m.cdf(s) for s in singularities]
-    break_ts = [m.cdf(s) for s in breakpoints]
-    return _integrate_t(phi, t_lo, t_hi, tol, sing_ts, break_ts)
+    return _integrate_t(phi, float(t_lo), float(t_hi), tol, sing_ts, break_ts)
 
 
 def _interval_integrals(m: RadonMeasure, g, t_a: np.ndarray,
@@ -553,18 +571,8 @@ def _interval_integrals(m: RadonMeasure, g, t_a: np.ndarray,
     break_ts = [m.cdf(s) for s in getattr(g, "breakpoints", ())]
     t_lo, t_hi = float(t_a.min()), float(t_b.max())
     cuts, flags = _cuts(t_lo, t_hi, sing_ts, break_ts)
-    sing = np.array([c for c, s in zip(cuts, flags) if s])
-    if sing.size:
-        # F may round an end that sits on a singular point (F(0) of a
-        # custom measure is not exactly 0) to a float beside it, where
-        # g(F^-1(t)) is the pole again; such ends move onto the point.
-        ulps = 8.0 * np.finfo(float).eps * max(1.0, abs(t_lo), abs(t_hi))
-
-        def snap(t):
-            s = sing[np.abs(t[:, None] - sing).argmin(axis=1)]
-            return np.where(np.abs(t - s) <= ulps, s, t)
-
-        t_a, t_b = snap(t_a), snap(t_b)
+    sing = [c for c, s in zip(cuts, flags) if s]
+    t_a, t_b = _snap(np.array([t_a, t_b]), sing)
     edges = np.unique(np.concatenate([t_a, t_b, cuts]))
     lo, hi = edges[:-1], edges[1:]
     sing_lo, sing_hi = np.isin(lo, sing), np.isin(hi, sing)

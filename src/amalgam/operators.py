@@ -33,12 +33,20 @@ at the declared singular points of f, grading dyadically toward each
 singular endpoint.  Non-decaying graded sums raise DivergenceError.
 Both entry points take the cuts, the graded ladder, its tail and its
 divergence test from measure.  potential() integrates one point
-adaptively.  potential_profile() uses a fixed layout per point and
-groups the points by layout template: x only moves the cut at t_x =
-F(x), so all points outside the support share one layout, and points
-inside one segment between fixed cuts share one structure with t_x as a
-column.  Each group is evaluated in batches of 32 points, with nodes and
-f values computed once for the panels that do not move with x.
+adaptively and is the reference.  potential_profile() uses a fixed
+layout per point and groups the points by layout template: x only moves
+the cut at t_x = F(x), so all points outside the support share one
+layout, and points inside one segment between fixed cuts share one
+structure with t_x as a column.  Each group is evaluated in batches of
+32 points, with nodes and f values computed once for the panels that do
+not move with x.  The outside group's far points skip the batches.  For
+the Riesz kernel, a point more than twice the support's half width w
+from its centre c takes one binomial expansion of |x - y|^(gamma-1)
+about c, the far field of the fast multipole method (Greengard &
+Rokhlin, J. Comput. Phys. 1987), which in 1-D with one bounded support
+needs no tree: the moments of f about c are summed once on the group's
+own panels, and the truncation has a certified bound.  A bounded kernel
+is exactly 0 at a point farther than its reach from the support.
 """
 
 from __future__ import annotations
@@ -71,6 +79,10 @@ __all__ = [
 # Points per vectorized evaluation in potential_profile.  A batch's node
 # arrays hold points x panels x 15 values; 32 points keep them small.
 _PROFILE_BATCH = 32
+# Relative truncation target of potential_profile's far-field series; at
+# rho < 1/2 it is met within _FAR_TERMS terms (_far_bound(1/2, 56) = 2^-56).
+_FAR_TOL = 2.0 ** -56
+_FAR_TERMS = 57
 # Values per block array of maximal_profile's inside-support pass (256 KB).
 _EDGE_BLOCK = 1 << 15
 # Every _COARSE_STRIDE-th table edge is an end of pointwise maximal's
@@ -82,13 +94,15 @@ _COARSE_STRIDE = 32
 class Kernel:
     """Even kernel, nonincreasing on the positive half line.
 
-    singular_exponent is the local power behaviour at 0 (e.g. gamma - 1
-    for the Riesz kernel) or None for bounded kernels.
+    singular_exponent is gamma - 1 for the Riesz kernel |u|^(gamma - 1),
+    the one singular kernel, and None for bounded kernels.  k(u) is 0 for
+    |u| > reach.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     label: str
     singular_exponent: float | None = None
+    reach: float = np.inf
 
     def __call__(self, u):
         return self.eval(np.asarray(u, float))
@@ -125,7 +139,7 @@ def table_kernel(points: Sequence[Sequence[float]]) -> Kernel:
     def ev(u):
         return np.interp(np.abs(u), xs, ys, right=0.0)
 
-    return Kernel(eval=ev, label=f"table-kernel[0,{xs[-1]}]")
+    return Kernel(eval=ev, label=f"table-kernel[0,{xs[-1]}]", reach=float(xs[-1]))
 
 
 def make_kernel(spec: dict) -> Kernel:
@@ -465,19 +479,105 @@ def _profile_groups(t: np.ndarray, t_lo: float, t_hi: float, sing_f, brk_f,
             if not (sing[i] or sing[i + 1]):
                 counts[:, i] = np.maximum(
                     6, np.ceil(base_panels * (b - a) / span).astype(int))
+        if None not in cuts:                 # no cut moves with t
+            yield rows, cuts, sing, counts[0]
+            continue
         keys, which = np.unique(counts, axis=0, return_inverse=True)
         which = which.ravel()
         for u, bases in enumerate(keys):
             yield rows[which == u], cuts, sing, bases
 
 
+def _far_bound(rho, n):
+    """The far-field series' terms after the n-th over |d|^(gamma-1) |f|_1
+    add at most sum_{j > n} rho^j, since |binom(gamma-1, j)| <= 1 for
+    gamma - 1 in (-1, 0) and |M_j| <= |f|_1."""
+    return rho ** (n + 1) / (1.0 - rho)
+
+
+def _far_moments(runs, c: float, w: float, n: int) -> np.ndarray | None:
+    """M_j = int ((y - c)/w)^j f dmu for j = 0..n on the panel runs, each
+    panel's 15 values weighted as the quadrature weighs them and each
+    graded run closed by its ladder tail; None when a panel sum is not
+    finite or a moment's ladder diverges."""
+    half, y, fy = (np.concatenate([r[i] for r in runs]) for i in (1, 2, 3))
+    u = (y - c) / w
+    v = np.empty((n + 1,) + fy.shape)
+    v[0] = fy
+    for j in range(1, n + 1):
+        np.multiply(v[j - 1], u, out=v[j])
+    p = half * (v @ GK_WEIGHTS)
+    if not np.isfinite(p).all():
+        return None
+    total = p.sum(axis=1)
+    start = 0
+    for nodes, _, _, _, graded in runs:
+        stop = start + nodes.shape[0]
+        if graded:
+            rem, diverging = _ladder_tail(p[:, start:stop], 1e-12)
+            if diverging.any():
+                return None
+            total = total + rem
+        start = stop
+    return total
+
+
+def _far_field(f: RealFunction, k: Kernel, xs: np.ndarray, runs):
+    """(far, values): K f at the points of xs far from f's support, valued
+    without quadrature; runs are the outside group's panel runs.
+
+    Riesz kernel: a point is far when d = x - c has |d| > 2w, with c the
+    centre and w the half width of f's support.  There rho = w/|d| < 1/2
+    and K f(x) = |d|^(gamma-1) sum_n binom(gamma-1, n) (-w/d)^n M_n, one
+    binomial expansion about c (the far field of the fast multipole
+    method, Greengard & Rokhlin 1987), summed by Horner over n <= N.  The
+    moments come from the runs (_far_moments), so the series is the
+    quadrature up to truncation and rounding.  N is the least with
+    _far_bound(rho, N) <= _FAR_TOL at the nearest far point.  A bounded
+    kernel is exactly 0 at a point farther than its reach from every node.
+    Where a node's f value or a moment is not finite, or a moment's ladder
+    diverges, no point is far, and the quadrature raises its errors.
+    """
+    none = np.zeros(xs.size, bool), np.empty(0)
+    if not all(np.isfinite(fy).all() for _, _, _, fy, _ in runs):
+        return none
+    if k.singular_exponent is None:
+        y = np.concatenate([y.ravel() for _, _, y, _, _ in runs])
+        lo, hi = y.min(), y.max()
+        # x - y rounds monotonically in y, so the nearest node is the test.
+        far = ((xs < lo) & (lo - xs > k.reach)) | ((xs > hi) & (xs - hi > k.reach))
+        return far, np.zeros(np.count_nonzero(far))
+    c, w = 0.5 * (f.support.a + f.support.b), 0.5 * (f.support.b - f.support.a)
+    d = xs - c
+    far = np.abs(d) > 2.0 * w
+    if not far.any():
+        return none
+    d = d[far]
+    rho = float(np.max(w / np.abs(d)))
+    n = int(np.argmax(_far_bound(rho, np.arange(_FAR_TERMS)) <= _FAR_TOL))
+    moments = _far_moments(runs, c, w, n)
+    if moments is None:
+        return none
+    e = k.singular_exponent
+    j = np.arange(n)
+    coef = moments * np.cumprod(np.concatenate([[1.0], (e - j) / (j + 1.0)]))
+    z = -w / d
+    acc = np.full(d.size, coef[-1])
+    for a in coef[-2::-1]:
+        acc *= z
+        acc += a
+    return far, k(d) * acc
+
+
 def _profile_group(m: RadonMeasure, f: RealFunction, k: Kernel,
                    xs: np.ndarray, ts: np.ndarray, cuts, sing, bases):
     """K f at the points xs (with ts = F(xs)) of one layout group.
 
-    Returns (values, error), where error is (row, exception) for the
-    first row whose integrand gives NaN or whose graded sums do not
-    decay, and None when every row is fine.
+    In the group outside the support, the far points are valued by
+    _far_field and the others by the quadrature.  Returns (values,
+    error), where error is (row, exception) for the first row whose
+    integrand gives NaN or whose graded sums do not decay, and None when
+    every row is fine.
     """
     def runs(seg_runs):
         """(nodes, half widths, y, f(y), graded) of each panel run."""
@@ -494,9 +594,15 @@ def _profile_group(m: RadonMeasure, f: RealFunction, k: Kernel,
     shared = {i: runs(_segment_runs(*seg)) for i, seg in enumerate(segs)
               if seg[0] is not None and seg[1] is not None}
     out = np.empty(xs.size)
-    for s in range(0, xs.size, _PROFILE_BATCH):
-        x = xs[s:s + _PROFILE_BATCH, None, None]
-        tb = ts[s:s + _PROFILE_BATCH]
+    far = np.zeros(xs.size, bool)
+    if len(shared) == len(segs):         # no panel moves with x
+        far, vals = _far_field(f, k, xs, sum(shared.values(), []))
+        out[far] = vals
+    rest = np.flatnonzero(~far)
+    for s in range(0, rest.size, _PROFILE_BATCH):
+        rows = rest[s:s + _PROFILE_BATCH]
+        x = xs[rows, None, None]
+        tb = ts[rows]
         n = x.shape[0]
         parts = []
         for i, (a, b, sa, sb, base) in enumerate(segs):
@@ -531,10 +637,10 @@ def _profile_group(m: RadonMeasure, f: RealFunction, k: Kernel,
                     r = int(np.argmax(diverging))
                     errors.append((r, DivergenceError(partial_sums=p[r].copy())))
             start = stop
-        out[s:s + n] = total
+        out[rows] = total
         if errors:
             r, exc = min(errors, key=lambda e: e[0])
-            return out, (s + r, exc)
+            return out, (rows[r], exc)
     return out, None
 
 
@@ -548,10 +654,14 @@ def potential_profile(m: RadonMeasure, f: RealFunction, k: Kernel,
     or dyadic ladders with a geometric tail toward singular ends.  The
     points are grouped by layout (_profile_groups) and each group is
     integrated in batches of _PROFILE_BATCH points, with nodes and f
-    values shared by the panels that do not move with x.  Points on a
-    singular point of f give NaN; non-decaying ladder sums raise
-    DivergenceError and NaN integrands EvaluationError, for the first
-    such point in xs.
+    values shared by the panels that do not move with x.  Outside the
+    support, a point more than twice the support's half width from its
+    centre takes the Riesz kernel's far-field series instead, and a point
+    beyond a bounded kernel's reach is 0 (_far_field): the same panels'
+    value up to truncation (2^-56 relative to |d|^(gamma-1) |f|_1) and
+    rounding, about 1e-16 relative.  Points on a singular point of f give
+    NaN; non-decaying ladder sums raise DivergenceError and NaN integrands
+    EvaluationError, for the first such point in xs.
     """
     xs = np.asarray(xs, float)
     t_lo, t_hi, sing_f, brk_f = _t_layout(m, f)

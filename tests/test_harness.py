@@ -698,9 +698,12 @@ def test_weight_cell_masses_are_exact_cell_integrals(m, c, samples):
     np.testing.assert_allclose(wmass, np.diff(prim), rtol=1e-11, atol=0.0)
 
 
-def _fake_report(d: Path, stem: str, constant: float, verdict: str, csv_row: str):
+def _fake_report(d: Path, stem: str, constant: float, verdict: str, csv_row: str,
+                 rows=None):
+    rows = [{"lhs": constant, "rhs_core": 1.0, "ratio": constant}] if rows is None else rows
     (d / f"{stem}.json").write_text(json.dumps(
-        {"empirical_constant": constant, "verdict": verdict}, sort_keys=True))
+        {"empirical_constant": constant, "verdict": verdict, "rows": rows},
+        sort_keys=True))
     (d / f"{stem}.csv").write_text(f"ratio\n{csv_row}\n")
 
 
@@ -718,17 +721,30 @@ def test_compare_reports_smoke(tmp_path, capsys):
     _fake_report(new, "moved", 1.5, "pass", "1.5")
     assert script.main([str(old), str(new)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "moved  2.0 -> 1.5  (-2.50e-01)  pass -> pass", "same  identical",
+        "moved  2.0 -> 1.5  (-2.50e-01)  pass -> pass  rows 2.50e-01", "same  identical",
         "1 identical, 1 moved, 0 verdict changes, 0 one-sided"]
     _fake_report(new, "moved", 1.5, "fail", "1.5")
     assert script.main([str(old), str(new)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "moved  2.0 -> 1.5  (-2.50e-01)  pass -> fail"
+    assert lines[0] == "moved  2.0 -> 1.5  (-2.50e-01)  pass -> fail  rows 2.50e-01"
     assert lines[-1] == "1 identical, 1 moved, 1 verdict changes, 0 one-sided"
     (new / "same.json").unlink()
     assert script.main([str(old), str(new)]) == 1
     assert capsys.readouterr().out.splitlines()[1:] == [
         "same  only in OLD", "0 identical, 1 moved, 1 verdict changes, 1 one-sided"]
+    # A rounding drift in one row's lhs, and equal constants over rows
+    # whose count differs.
+    row = {"lhs": 3.0, "rhs_core": 2.0, "ratio": 1.5}
+    _fake_report(old, "moved", 2.0, "pass", "2.0", [row, row])
+    _fake_report(new, "moved", 2.0, "pass", "2.0",
+                 [row, {**row, "lhs": 3.0 * (1.0 + 2.0 ** -51)}])
+    _fake_report(old, "same", 1.5, "pass", "1.5", [row, row])
+    _fake_report(new, "same", 1.5, "pass", "1.5", [row])
+    assert script.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "moved  2.0 -> 2.0  (0)  pass -> pass  rows 4.44e-16",
+        "same  1.5 -> 1.5  (0)  pass -> pass  rows n/a",
+        "0 identical, 2 moved, 0 verdict changes, 0 one-sided"]
     # The reports of a real sweep compare identical with themselves.
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", "scenarios/norms_identity.json", "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Maximal operator, potential operator, Riesz routes, far-field data."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import hypothesis.strategies as st
 from amalgam.functions import (RealFunction, indicator, power_function, scaled,
                                table_function, tent)
 from amalgam.measure import (DivergenceError, EvaluationError, IntervalRC,
-                             custom_measure, gk_panels, lebesgue, power_measure)
+                             custom_measure, gk_panels, integrate, lebesgue,
+                             power_measure)
 from amalgam import operators
 from amalgam.cli import main as cli_main
 from amalgam.norms import Exponent, LqTable, lq_norm
@@ -283,8 +285,8 @@ PROFILE_KERNELS = [riesz_kernel(0.6),
 def _profile_points(m, f):
     """A grid through the support plus support edges and breakpoints."""
     inner = np.linspace(f.support.a, f.support.b, 23)[1:-1]
-    outer = [f.support.a - 2.0, f.support.a - 0.1, f.support.b + 0.1,
-             f.support.b + 3.0]
+    outer = [f.support.a - 10.0, f.support.a - 2.0, f.support.a - 0.1,
+             f.support.b + 0.1, f.support.b + 3.0, f.support.b + 25.0]
     marks = [f.support.a, f.support.b, *f.breakpoints, *f.singularities]
     return np.array([*outer, *marks, *inner, *marks[::-1]], float)
 
@@ -295,7 +297,19 @@ def _profile_points(m, f):
 def test_potential_profile_matches_reference(m, f, k):
     xs = _profile_points(m, f)
     got = potential_profile(m, f, k, xs)
-    assert np.array_equal(got, _reference_profile(m, f, k, xs), equal_nan=True)
+    ref = _reference_profile(m, f, k, xs)
+    # Riesz points farther than twice the half width from the support's
+    # centre take the far-field series: the quadrature up to rounding.
+    c, w = 0.5 * (f.support.a + f.support.b), 0.5 * (f.support.b - f.support.a)
+    series = (np.abs(xs - c) > 2.0 * w) & (k.singular_exponent is not None)
+    assert np.array_equal(got[~series], ref[~series], equal_nan=True)
+    assert got[series] == pytest.approx(ref[series], rel=1e-14, abs=0.0)
+    if k.reach < np.inf:
+        # Exactly 0 beyond the bounded kernel's reach from the support.
+        beyond = (xs < f.support.a - k.reach) | (xs > f.support.b + k.reach)
+        assert beyond.sum() == 2 and np.all(got[beyond] == 0.0)
+    else:
+        assert series.sum() == 4
     assert np.array_equal(np.isnan(got), np.isin(xs, f.singularities))
     assert np.all(np.isfinite(got[~np.isnan(got)]))
 
@@ -350,6 +364,57 @@ def test_potential_profile_agrees_with_adaptive(m, k, rel):
     got = potential_profile(m, f, k, xs)
     want = [potential(m, f, k, x) for x in xs]
     assert got == pytest.approx(want, rel=rel)
+
+
+# The fixed layout does not cut at CUSTOM's density knots, where F^-1
+# has kinks: 24 panels are then 1.4e-7 off on tent[-1,1], far field or
+# not.  Declared as breakpoints they become cuts.
+CUSTOM_KNOTS = (-2.0, -0.5, 0.5, 2.0)
+FAR_FUNCTIONS = [indicator(0.0, 1.0), tent(-1.0, 1.0),
+                 power_function(-0.5, (0.05, 2.0))]
+
+
+@pytest.mark.parametrize("f", FAR_FUNCTIONS, ids=lambda f: f.label)
+@pytest.mark.parametrize("m", [LEB, power_measure(0.5), CUSTOM], ids=repr)
+def test_potential_profile_far_field_matches_adaptive(m, f):
+    if m is CUSTOM:
+        f = replace(f, breakpoints=tuple(sorted({*f.breakpoints, *CUSTOM_KNOTS})))
+    k = riesz_kernel(0.4)
+    c, w = 0.5 * (f.support.a + f.support.b), 0.5 * (f.support.b - f.support.a)
+    ds = w * np.array([2.0 + 1e-9, 2.5, 4.0, 16.0, 1e3])
+    xs = np.concatenate([c - ds, c + ds])
+    got = potential_profile(m, f, k, xs)
+    want = [potential(m, f, k, x, tol=1e-12) for x in xs]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [LEB, power_measure(0.5)], ids=repr)
+def test_far_field_truncation_bound_holds(m, monkeypatch):
+    # The terms after the N-th add at most |d|^(gamma-1) |f|_1 times
+    # _far_bound(rho, N).  At rho = 1/2 the series is summed here from
+    # moments by integrate; just under it, potential_profile sums its own
+    # with the N that a coarse _FAR_TOL picks.
+    f, gamma = power_function(-0.5, (0.05, 2.0)), 0.4
+    k = riesz_kernel(gamma)
+    c, w = 0.5 * (f.support.a + f.support.b), 0.5 * (f.support.b - f.support.a)
+    support = IntervalRC(f.support.a, f.support.b)
+    norm1 = integrate(m, f, support, tol=1e-13)
+    moments = [integrate(m, lambda y, j=j: ((y - c) / w) ** j * f(y), support,
+                         tol=1e-13) for j in range(16)]
+    binom = np.cumprod([1.0, *((gamma - 1.0 - j) / (j + 1.0) for j in range(15))])
+    for d in (2.0 * w, -2.0 * w):
+        exact = potential(m, f, k, c + d, tol=1e-12)
+        terms = binom * (-w / d) ** np.arange(16) * moments
+        for n in range(16):
+            err = abs(exact - abs(d) ** (gamma - 1.0) * terms[:n + 1].sum())
+            bound = abs(d) ** (gamma - 1.0) * norm1 * operators._far_bound(0.5, n)
+            assert err <= bound
+    for tol in (1e-2, 1e-4, 1e-6):
+        monkeypatch.setattr(operators, "_FAR_TOL", tol)
+        for d in (2.0 * w * (1.0 + 1e-9), -2.0 * w * (1.0 + 1e-9)):
+            err = abs(potential_profile(m, f, k, np.array([c + d]))[0]
+                      - potential(m, f, k, c + d, tol=1e-12))
+            assert err <= abs(d) ** (gamma - 1.0) * norm1 * tol
 
 
 # A point just inside a support edge: the 40-level ladder toward t_x
