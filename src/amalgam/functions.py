@@ -111,6 +111,22 @@ def table_function(points: Sequence[Sequence[float]], label: str | None = None) 
     knot[1:-1] = np.repeat(xs, 2)[1:-1]
     at[1:-1] = np.repeat(ys, 2)[1:-1]
     lo = np.nextafter(xs[0], -np.inf)
+    few_cuts = cuts.size <= 32
+
+    def half(flat):
+        # The number of cuts at or below each point.  A binary search
+        # branches on every point, and on unsorted nodes (a profile's
+        # ladders) each branch is a guess; a sum of byte comparisons,
+        # one pass per cut, is 4x faster on many points and few cuts.
+        # A NaN point gets 0 here and 2n - 1 from the search: both
+        # halves have slope 0 and give NaN.
+        if not (few_cuts and flat.size >= 2048):
+            return cuts.searchsorted(flat, side="right")
+        h = np.zeros(flat.shape, np.uint8)
+        hit = np.empty(flat.shape, bool)
+        for c in cuts:
+            h += np.greater_equal(flat, c, out=hit).view(np.uint8)
+        return h.astype(np.intp)
 
     def ev(x):
         # In place on one copy of x: a table build evaluates 61,440 nodes
@@ -119,7 +135,7 @@ def table_function(points: Sequence[Sequence[float]], label: str | None = None) 
         y = np.maximum(x, lo, out=np.empty(x.shape))
         flat = y.reshape(-1)
         np.minimum(flat, xs[-1], out=flat)
-        h = cuts.searchsorted(flat, side="right")
+        h = half(flat)
         part = knot[h]
         flat -= part
         flat *= slope.take(h, out=part)

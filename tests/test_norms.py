@@ -26,6 +26,8 @@ from amalgam.norms import (
     TrivialSpaceError,
     _block_edges,
     _golden_max,
+    _scale_value,
+    _scale_values,
     amalgam_norm,
     block_norm,
     default_r_grid,
@@ -206,7 +208,9 @@ def _per_scale_block_norm(m, f, q, p, r, x0, table):
     if i_hi <= i_lo:
         i_hi = i_lo + 1
     edges = t0 + np.arange(i_lo, i_hi + 1) * r
-    values = table.mass_between(edges[:-1], edges[1:]) ** (1.0 / q.value)
+    c0 = np.interp(edges[:-1], table.t_edges, table.cum)
+    c1 = np.interp(edges[1:], table.t_edges, table.cum)
+    values = np.maximum(c1 - c0, 0.0) ** (1.0 / q.value)
     tail = f.tail_bound * r ** q.recip
     if p.is_inf:
         return max(float(np.max(values)), tail)
@@ -478,3 +482,225 @@ def test_levels_pieces_match_a_dense_count(f, m, strict):
     dense = np.count_nonzero(hits, axis=1) * cell
     assert np.all(np.abs(mass - dense) <= 2 * lo.shape[0] * cell + 1e-12 * dense)
     assert level_set_mass(m, f, lams[2], strict) == mass[2]
+
+
+# ---------------------------------------------------------------------------
+# The scale search against the parent's one-pass scan and golden polish
+
+
+def _parent_scale_values(table, p, tail_bound, expo, t0, t_lo, t_hi, rs):
+    """The scan as it was before the lean one-scale evaluator: every
+    scale's edges in one array, two interps (mass_between), one 1/q power
+    over all blocks and _combine's power to p on each scale's slice."""
+    i_lo = np.floor((t_lo - t0) / rs).astype(np.int64)
+    n = np.maximum(np.ceil((t_hi - t0) / rs).astype(np.int64) - i_lo, 1) + 1
+    starts = n.cumsum() - n
+    i = np.arange(starts[-1] + n[-1]) + (i_lo - starts).repeat(n)
+    edges = t0 + i * rs.repeat(n)
+    c0 = np.interp(edges[:-1], table.t_edges, table.cum)
+    c1 = np.interp(edges[1:], table.t_edges, table.cum)
+    values = np.maximum(c1 - c0, 0.0) ** (1.0 / table.q.value)
+    rq = table.q.recip
+
+    def combine(v, tail):
+        if p.is_inf:
+            return max(float(v.max()) if v.size else 0.0, tail)
+        if tail > 0.0:
+            return np.inf
+        return float((v ** p.value).sum() ** (1.0 / p.value))
+
+    return np.array([r ** expo * combine(values[a:a + k - 1], tail_bound * r ** rq)
+                     for r, a, k in zip(rs, starts, n)])
+
+
+def _parent_golden_max(fn, lo, hi, iters=60):
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def _parent_amalgam(m, f, q, p, alpha, r_grid, x0):
+    """The parent's amalgam_norm for q <= alpha < p: the grid scan, then
+    the golden polish, each step a one-scale pass of the same scan."""
+    q, p, alpha = Exponent.of(q), Exponent.of(p), Exponent.of(alpha)
+    expo = alpha.recip - q.recip
+    table = LqTable(m, f, q)
+    t0, t_lo, t_hi = m.cdf(x0), m.cdf(f.support.a), m.cdf(f.support.b)
+
+    def scan(rs):
+        return _parent_scale_values(table, p, f.tail_bound, expo, t0, t_lo, t_hi, rs)
+
+    vals = scan(r_grid)
+    if not np.any(vals > 0.0):
+        return 0.0, float(r_grid[0])
+    j = int(np.argmax(vals))
+    lo = r_grid[max(j - 1, 0)]
+    hi = r_grid[min(j + 1, len(r_grid) - 1)]
+    r_best, v_best = _parent_golden_max(lambda u: scan(np.array([np.exp(u)]))[0],
+                                        np.log(lo), np.log(hi))
+    if v_best >= vals[j]:
+        return float(v_best), float(np.exp(r_best))
+    return float(vals[j]), float(r_grid[j])
+
+
+SEARCH_MEASURES = {"lebesgue": LEB, "power0.5": power_measure(0.5), "custom": CUSTOM}
+SEARCH_FUNCTIONS = {"tent": tent(-1.0, 1.5), "indicator": indicator(-0.3, 0.7),
+                    "spike": power_function(-0.5, (0.05, 2.0)),
+                    "scaled_tent": scaled(tent(-1.0, 1.0), 3.5)}
+
+
+def _search_case(seed, m, f):
+    """Seeded exponents, anchor, tail and grid.  Odd seeds take p = inf;
+    seed % 4 picks the default grid, one scale, the 128-scale grid or
+    scales at and above the support's mass, where the support meets a
+    single block; seeds 2 and 5 (mod 6) carry a tail."""
+    rng = np.random.default_rng(seed)
+    q = float(rng.choice([1.0, 1.5, 2.0]))
+    p = math.inf if seed % 2 else float(rng.uniform(q + 0.5, 8.0))
+    alpha = float(rng.uniform(q, min(p, 10.0)))
+    x0 = 0.0 if seed % 8 == 0 else float(rng.uniform(-1.5, 1.5))
+    tail = 0.3 if seed % 6 in (2, 5) else 0.0
+    mass = m.mass(f.support)
+    grid = [default_r_grid(mass),
+            np.array([mass * float(rng.uniform(0.01, 2.0))]),
+            default_r_grid(mass, 128),
+            np.geomspace(mass, 30.0 * mass, 12)][seed % 4]
+    return q, p, alpha, x0, replace(f, tail_bound=tail), grid
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("fname", sorted(SEARCH_FUNCTIONS))
+@pytest.mark.parametrize("mname", sorted(SEARCH_MEASURES))
+def test_amalgam_norm_equals_the_parents_search_bit_for_bit(mname, fname, seed):
+    m = SEARCH_MEASURES[mname]
+    q, p, alpha, x0, f, grid = _search_case(seed, m, SEARCH_FUNCTIONS[fname])
+    expected = _parent_amalgam(m, f, q, p, alpha, grid, x0)
+    assert amalgam_norm(m, f, q, p, alpha, r_grid=grid, x0=x0) == expected
+    table = LqTable(m, f, Exponent.of(q))
+    assert amalgam_norm(m, f, q, p, alpha, r_grid=grid, x0=x0, table=table) == expected
+
+
+def test_the_search_cases_meet_a_single_block():
+    # The large-scale grids do hold scales whose run is one block.
+    singles = 0
+    for seed in (3, 7):
+        for m in SEARCH_MEASURES.values():
+            for f in SEARCH_FUNCTIONS.values():
+                *_, x0, f, grid = _search_case(seed, m, f)
+                n = _block_edges(m.cdf(x0), grid, m.cdf(f.support.a), m.cdf(f.support.b))[2]
+                singles += int(np.count_nonzero(n == 2))
+    assert singles >= 50
+
+
+@pytest.mark.parametrize("mname", sorted(SEARCH_MEASURES))
+def test_a_tail_makes_a_sum_infinite_and_a_sup_its_max(mname):
+    m, q, alpha, x0, tail = SEARCH_MEASURES[mname], Exponent.of(1.5), Exponent.of(2.5), 0.4, 0.3
+    f0 = tent(-1.0, 1.5)
+    f = replace(f0, tail_bound=tail)
+    grid = default_r_grid(m.mass(f.support))
+    assert amalgam_norm(m, f, q, 4, alpha, r_grid=grid, x0=x0)[0] == math.inf
+    value, r = amalgam_norm(m, f, q, math.inf, alpha, r_grid=grid, x0=x0)
+    assert (value, r) == _parent_amalgam(m, f, q, math.inf, alpha, grid, x0)
+    # At the returned scale: the max of the blocks' sup and the tail's.
+    expo = alpha.recip - q.recip
+    assert value == max(r ** expo * block_norm(m, f0, q, math.inf, r, x0),
+                        r ** expo * (tail * r ** q.recip))
+
+
+@pytest.mark.parametrize("p", [3.0, math.inf])
+@pytest.mark.parametrize("mname", sorted(SEARCH_MEASURES))
+def test_one_scale_values_equal_the_grid_pass(mname, p):
+    # 3 measures x 2 p x 4 functions x 100 = 2,400 seeded scales.
+    m, p = SEARCH_MEASURES[mname], Exponent.of(p)
+    rng = np.random.default_rng(17)
+    for f in SEARCH_FUNCTIONS.values():
+        q = Exponent.of(float(rng.choice([1.0, 1.5, 2.0])))
+        table = LqTable(m, f, q)
+        t0, t_lo, t_hi = m.cdf(float(rng.uniform(-1.5, 1.5))), *m.cdf(
+            np.array([f.support.a, f.support.b]))
+        tail, expo = float(rng.choice([0.0, 0.2])), 0.5 * (p.recip - q.recip)
+        mass = t_hi - t_lo
+        rs = mass * np.exp(rng.uniform(np.log(1e-3), np.log(30.0), 100))
+        many = _scale_values(table, p, tail, expo, t0, t_lo, t_hi, rs)
+        one = [_scale_value(table, p, tail, expo, t0, t_lo, t_hi, r) for r in rs.tolist()]
+        assert np.array_equal(many, one)
+        assert np.array_equal(many, _parent_scale_values(table, p, tail, expo, t0,
+                                                         t_lo, t_hi, rs))
+
+
+def test_one_scale_value_of_a_point_range_is_one_block():
+    # t_lo = t_hi still meets one block, as _block_edges lays it out,
+    # also when the point is a block edge (0.5 at r = 0.25).
+    table = LqTable(LEB, CHI01, Exponent.of(1))
+    rs = np.array([0.25, 0.1, 0.7])
+    for t_pt in (0.5, 0.3):
+        for p in (Exponent.of(2), Exponent.of(math.inf)):
+            want = _parent_scale_values(table, p, 0.0, -0.5, 0.0, t_pt, t_pt, rs)
+            assert want.min() > 0.0
+            assert [_scale_value(table, p, 0.0, -0.5, 0.0, t_pt, t_pt, r)
+                    for r in rs.tolist()] == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Sups at q = inf: every block in one chunked pass
+
+
+def _parent_lq_sup(m, f, interval):
+    """lq_norm at q = inf as it was written for one interval."""
+    t_lo, t_hi = m.cdf(interval.a), m.cdf(interval.b)
+    marked = [x for x in (*f.singularities, *f.breakpoints) if interval.a <= x < interval.b]
+    marked.append(np.nextafter(interval.b, -np.inf))
+    ts = t_lo + (t_hi - t_lo) * (np.arange(4097) + 0.5) / 4097
+    with np.errstate(divide="ignore", over="ignore"):
+        ends = np.abs(np.asarray(f(np.array([interval.a, *marked])), float))
+        vals = np.concatenate([np.abs(np.asarray(f(m.inv_cdf(ts)), float)), ends])
+    vals = vals[~np.isnan(vals)]
+    return float(np.max(vals)) if vals.size else 0.0
+
+
+SUP_FUNCTIONS = [tent(-1.0, 1.5), power_function(-0.5, (0.05, 2.0)),
+                 riesz_kernel_function(0.5, (-1.0, 1.0)),
+                 table_function([[-2.0, 0.0], [-1.5, 3.0], [-1.0, 0.0], [0.5, 0.0],
+                                 [1.0, 1.0], [2.0, 0.0]]),
+                 replace(CHI01, eval=lambda x: np.where(x < 0.5, np.nan, 1.0))]
+
+
+@pytest.mark.parametrize("f", SUP_FUNCTIONS, ids=lambda f: f.label)
+@pytest.mark.parametrize("m", [LEB, power_measure(0.5), CUSTOM],
+                         ids=["lebesgue", "power0.5", "custom"])
+def test_block_norm_q_inf_equals_the_per_block_sups(m, f):
+    # The singular point 0 of the Riesz kernel and the spike's window end
+    # 0.05 sit in one block each, the table's breakpoints in several;
+    # 0.013 makes more blocks than one chunk holds.
+    for r, x0 in [(0.013, 0.0), (0.3, 0.37), (0.5, 0.05), (5.0, -0.2)]:
+        t0, t_lo, t_hi = m.cdf(x0), m.cdf(f.support.a), m.cdf(f.support.b)
+        xs = m.inv_cdf(_block_edges(t0, np.array([r]), t_lo, t_hi)[0])
+        sups = [lq_norm(m, f, IntervalRC(a, b), "inf") for a, b in zip(xs[:-1], xs[1:])]
+        assert sups == [_parent_lq_sup(m, f, IntervalRC(a, b))
+                        for a, b in zip(xs[:-1], xs[1:])]
+        assert block_norm(m, f, "inf", "inf", r, x0) == max(sups)
+        with np.errstate(over="ignore"):    # the kernel's sups next to 0
+            assert block_norm(m, f, "inf", 2, r, x0) == float(
+                (np.array(sups) ** 2.0).sum() ** 0.5)
+
+
+@pytest.mark.parametrize("f", SUP_FUNCTIONS, ids=lambda f: f.label)
+def test_lq_sup_equals_the_one_interval_formula(f):
+    rng = np.random.default_rng(5)
+    for m in (LEB, power_measure(0.5), CUSTOM):
+        for a, b in [sorted(rng.uniform(-2.5, 2.5, 2)) for _ in range(10)] + [
+                (f.support.a, f.support.b), (-0.3, 0.0), (0.0, 0.05)]:
+            iv = IntervalRC(float(a), float(b))
+            assert lq_norm(m, f, iv, "inf") == _parent_lq_sup(m, f, iv)
