@@ -21,8 +21,8 @@ from .weights import (SubsetSampler, Weight, WeightConditionResult,
                       a_infty_epsilon_delta, a_r_constant,
                       default_interval_family, make_weight,
                       reverse_holder_check, thm21_condition)
-from .covering import (MidpointedFamily, make_family, midpoint, random_family,
-                       select_cover)
+from .covering import (MidpointedFamily, Trials, make_family, midpoint,
+                       random_family, select_cover)
 from .harness import (ConfigError, HypothesisRejected, NumericalFailure,
                       Scenario, VerificationReport, default_family,
                       load_scenario, parse_scenario, run_scenario,

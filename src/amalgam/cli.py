@@ -142,12 +142,11 @@ def _cmd_weight(args) -> int:
 
 def _cmd_cover(args) -> int:
     m = make_measure(parse_measure_spec(args.measure))
-    worst = 0
-    for t in range(args.random):
-        fam = random_family(m, count=args.count, seed=args.seed + t)
-        _, overlap = select_cover(fam)
-        worst = max(worst, overlap)
-    print(worst)
+    done = select_cover(random_family(m, count=args.count,
+                                      seed=range(args.seed, args.seed + args.random)))
+    if done.failure is not None:
+        raise AssertionError(done.failure[1])
+    print(done.worst)
     return 0
 
 

@@ -1043,16 +1043,11 @@ def _covering_trials(scn: Scenario, gs: int) -> VerificationReport:
     ulp = float(np.spacing(max(map(abs, center_range)) + mass_range[1]))
     need(mass_range[0] > 2.0 * ulp, f"options.mass_range needs lo > {2.0 * ulp:g}, "
          f"twice the double spacing at the centers")
-    worst, failure = 0, None
-    for t in range(trials):
-        fam = random_family(m, count=count, seed=scn.seed + t,
-                            mass_range=mass_range, center_range=center_range)
-        try:
-            _, overlap = select_cover(fam)
-        except AssertionError as e:
-            failure = f"trial {t}: {e}"
-            break
-        worst = max(worst, overlap)
+    done = select_cover(random_family(m, count=count,
+                                      seed=range(scn.seed, scn.seed + trials),
+                                      mass_range=mass_range, center_range=center_range))
+    worst = done.worst
+    failure = None if done.failure is None else "trial {}: {}".format(*done.failure)
     rows = [_row("random_families", None, float(worst), 5.0, note=f"trials={trials}")]
     details = {"trials": trials, "count": count, "worst_overlap": worst,
                "coverage_failure": failure}

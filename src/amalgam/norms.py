@@ -396,7 +396,11 @@ def block_norm(m: RadonMeasure, f: RealFunction, q, p, r: float,
     t_lo, t_hi = _t_range(m, f)
     if q.is_inf:
         xs = m.inv_cdf(_block_edges(m.cdf(x0), rs, t_lo, t_hi)[0])
-        return _combine(_powered(_block_sups(m, f, xs), p), p, f.tail_bound)
+        sups = _block_sups(m, f, xs)
+        # a sup read next to a singular point can overflow its power to p,
+        # and then the norm is inf: the true value, not a warning
+        with np.errstate(over="ignore"):
+            return _combine(_powered(sups, p), p, f.tail_bound)
     if table is None:
         table = LqTable(m, f, q)
     return float(_scale_values(table, p, f.tail_bound, 0.0, m.cdf(x0),

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from amalgam.covering import make_family, midpoint, random_family, select_cover
+from amalgam import cli, harness
+from amalgam.covering import (MidpointedFamily, Trials, _family, make_family,
+                              midpoint, random_family, select_cover)
 from amalgam.measure import (
     IntervalRC,
     custom_measure,
@@ -296,6 +298,125 @@ def test_random_family_endpoint_error_matches_reference():
     with pytest.raises(ValueError) as want:
         _ref_random_family(LEB, **kw)
     assert str(got.value) == str(want.value)
+
+
+# --- batches of trials: random_family over a range of seeds, one row
+# per trial, against the one-family-at-a-time reference above
+
+
+def _ref_trials(m, seeds, **kw):
+    """(selected, overlap) per trial up to the first bad family, and that
+    family's error message (None if every family is good)."""
+    out = []
+    for seed in seeds:
+        try:
+            ref = _ref_random_family(m, seed=seed, **kw)
+        except ValueError as e:
+            return out, str(e)
+        out.append(_ref_select_cover(ref))
+    return out, None
+
+
+@pytest.mark.parametrize("mass_range", [(0.5, 2.0), (0.1, 3.0)], ids=["ratio4", "ratio30"])
+@pytest.mark.parametrize("m", [LEB, power_measure(0.2), power_measure(0.5), CUSTOM],
+                         ids=["lebesgue", "power0.2", "power0.5", "custom"])
+def test_batch_matches_reference(m, mass_range):
+    seeds = range(1000, 1400)
+    for count in (1, 5, 25, 40):
+        kw = dict(count=count, mass_range=mass_range)
+        fam = random_family(m, seed=seeds, **kw)
+        assert fam.a.shape == (len(seeds), count) and len(fam) == len(seeds) * count
+        got = select_cover(fam)
+        want, error = _ref_trials(m, seeds, **kw)
+        assert error is None
+        assert got.failures == [None] * len(seeds) and got.failure is None
+        assert got.selected == [s for s, _ in want]
+        assert got.overlaps == [o for _, o in want]
+        assert got.worst == max(o for _, o in want)
+        # each row is the single family of its seed, bit for bit
+        for t in (0, 1, 199, 399):
+            one = random_family(m, seed=seeds[t], **kw)
+            for name in ("a", "b", "mass", "midpoints"):
+                assert np.array_equal(getattr(fam, name)[t], getattr(one, name)), (t, name)
+            assert one.window == fam.window
+
+
+def test_batch_bad_family_raises_at_its_trial():
+    # masses below half the double spacing at |t| >= 2 collapse an
+    # interval there: seeds 0-2 give good one-interval families, seed 3
+    # the first bad one
+    kw = dict(count=1, mass_range=(3e-16, 3e-16))
+    want, error = _ref_trials(LEB, range(12), **kw)
+    assert len(want) == 3 and "need a < b" in error
+    fam = random_family(LEB, seed=range(12), **kw)
+    assert fam.a.shape == (3, 1) and str(fam.error) == error
+    with pytest.raises(ValueError) as got:
+        select_cover(fam)
+    assert str(got.value) == error
+    # a bad first trial raises at once, as a single family does
+    with pytest.raises(ValueError, match="need a < b"):
+        random_family(LEB, seed=range(3, 12), **kw)
+
+
+def test_batch_family_check_keeps_the_rows_before_the_bad_trial():
+    a = np.array([[0.0, 2.0], [0.0, 2.0], [0.0, 2.0]])
+    b = a + 1.0
+    mass = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+    window = make_interval(LEB, -5.0, 5.0)
+    fam = _family(LEB, a, b, a, b, mass, window, 1e-9)
+    assert fam.a.shape == (2, 2)
+    assert str(fam.error) == "interval IntervalRC(a=2.0, b=3.0, mass=0.0) has no mass to halve"
+    with pytest.raises(ValueError, match="no mass to halve"):
+        _family(LEB, a[::-1], b[::-1], a[::-1], b[::-1], mass[::-1], window, 1e-9)
+
+
+def _failing_batch(error):
+    """Three trials; trial 1's interval does not hold its own midpoint,
+    which no checked family allows, so its cover fails."""
+    a = np.array([[0.0], [0.0], [0.0]])
+    mids = np.array([[0.5], [2.0], [0.5]])
+    return MidpointedFamily(a, a + 1.0, a + 1.0, mids, make_interval(LEB, -5.0, 5.0),
+                            error)
+
+
+def test_batch_cover_failure_before_a_bad_family_wins():
+    got = select_cover(_failing_batch(ValueError("trial 3 is bad")))
+    msg = "selected interval misses its own midpoint"
+    assert got == Trials([[0], [0], [0]], [1, 1, 1], [None, msg, None])
+    assert got.failure == (1, msg) and got.worst == 1
+    # the single family of the failing trial raises the same message,
+    # as the reference does
+    one = MidpointedFamily(np.array([0.0]), np.array([1.0]), np.array([1.0]),
+                           np.array([2.0]), make_interval(LEB, -5.0, 5.0))
+    with pytest.raises(AssertionError, match=msg):
+        select_cover(one)
+    ref = _RefFamily((IntervalRC(0.0, 1.0, 1.0),), (2.0,), one.window)
+    with pytest.raises(AssertionError, match=msg):
+        _ref_select_cover(ref)
+
+
+def test_cover_failure_reads_trial_t(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "random_family",
+                        lambda *args, **kw: _failing_batch(ValueError("never raised")))
+    scn = harness.parse_scenario({"name": "cov", "target": "covering_trials",
+                                  "measure": {"kind": "lebesgue"},
+                                  "options": {"trials": 3}})
+    rep = harness.verify_scenario(scn)
+    msg = "trial 1: selected interval misses its own midpoint"
+    assert rep.details["coverage_failure"] == msg
+    assert rep.details["worst_overlap"] == 1
+    monkeypatch.setattr(cli, "random_family",
+                        lambda *args, **kw: _failing_batch(None))
+    with pytest.raises(AssertionError, match="^selected interval misses its own midpoint$"):
+        cli.main(["cover", "--random", "3"])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 61])
+def test_cli_cover_stdout_matches_reference(seed, capsys):
+    assert cli.main(["cover", "--measure", "lebesgue", "--random", "200",
+                     "--seed", str(seed)]) == 0
+    want, _ = _ref_trials(LEB, range(seed, seed + 200))
+    assert capsys.readouterr().out == f"{max(o for _, o in want)}\n"
 
 
 def test_covering_experiment_smoke(capsys):

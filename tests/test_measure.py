@@ -455,3 +455,67 @@ def test_overflowing_ladder_diverges_on_every_route():
             with pytest.raises(DivergenceError) as got:
                 route()
             assert not np.all(np.isfinite(got.value.partial_sums))
+
+
+# --- F and F^-1 of one float: the scalar path against numpy's 0-d path,
+# the code it replaced on Lebesgue and power measures, kept here as the
+# reference
+
+SCALAR_MEASURES = [lebesgue()] + [power_measure(a) for a in
+                                  (0.05, 0.264, 0.3, 0.4, 0.5, 0.595, 0.95)]
+
+
+def _ref_cdf(m, x):
+    v = np.asarray(x, float)
+    if m.kind == "lebesgue":
+        return float(v.copy())
+    a = m.a
+    return float(np.sign(v) * np.abs(v) ** (1.0 - a) / (1.0 - a))
+
+
+def _ref_inv_cdf(m, t):
+    v = np.asarray(t, float)
+    if m.kind == "lebesgue":
+        return float(v.copy())
+    a = m.a
+    return float(np.sign(v) * ((1.0 - a) * np.abs(v)) ** (1.0 / (1.0 - a)))
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+def _scalar_inputs(seed, n):
+    """n seeded floats log-uniform in [1e-300, 1e200] with random signs,
+    then +-0, +-inf, NaN and subnormals."""
+    rng = np.random.default_rng(seed)
+    mag = 10.0 ** rng.uniform(-300.0, 200.0, size=n)
+    vals = np.where(rng.random(n) < 0.5, -mag, mag).tolist()
+    return vals + [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   2.2250738585072014e-308, -1e-310, 1.5e-323]
+
+
+@pytest.mark.parametrize("m", SCALAR_MEASURES, ids=repr)
+def test_scalar_cdf_matches_numpy_0d_by_bits(m):
+    vals = _scalar_inputs(int(m.a * 1000), 100_000)
+    with np.errstate(over="ignore"):    # F^-1 overflows to inf on both paths
+        for fn, ref in ((m.cdf, _ref_cdf), (m.inv_cdf, _ref_inv_cdf)):
+            got = [fn(x) for x in vals]
+            want = [ref(m, x) for x in vals]
+            assert all(type(g) is float for g in got)
+            assert np.array_equal(_bits(got), _bits(want))
+            # np.float64 inputs take the same path and return float too
+            got64 = [fn(np.float64(x)) for x in vals[-2000:]]
+            assert all(type(g) is float for g in got64)
+            assert np.array_equal(_bits(got64), _bits(want[-2000:]))
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.95])
+def test_scalar_inv_cdf_overflow_warns_as_numpy(a):
+    m = power_measure(a)
+    t = 1e300
+    for fn in (lambda: m.inv_cdf(t), lambda: _ref_inv_cdf(m, t)):
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            fn()
+        with np.errstate(over="ignore"):
+            assert fn() == np.inf

@@ -697,6 +697,26 @@ def test_block_norm_q_inf_equals_the_per_block_sups(m, f):
 
 
 @pytest.mark.parametrize("f", SUP_FUNCTIONS, ids=lambda f: f.label)
+@pytest.mark.parametrize("m", [LEB, power_measure(0.5)], ids=["lebesgue", "power0.5"])
+def test_block_norm_q_inf_overflow_is_inf_without_a_warning(m, f):
+    # The Riesz kernel's block just left of 0 reads |-5e-324|^-0.5, about
+    # 1.4e161, whose square overflows: the norm is inf, and under the
+    # suite's filterwarnings = error the call must not raise.  Finite
+    # values keep their bits.
+    for r, x0 in [(0.013, 0.0), (0.3, 0.37), (5.0, -0.2)]:
+        got = block_norm(m, f, "inf", 2, r, x0)
+        t0, t_lo, t_hi = m.cdf(x0), m.cdf(f.support.a), m.cdf(f.support.b)
+        xs = m.inv_cdf(_block_edges(t0, np.array([r]), t_lo, t_hi)[0])
+        sups = np.array([lq_norm(m, f, IntervalRC(a, b), "inf")
+                         for a, b in zip(xs[:-1], xs[1:])])
+        with np.errstate(over="ignore"):
+            want = float((sups ** 2.0).sum() ** 0.5)
+        assert got == want
+        if f.label.startswith("riesz") and r == 0.013:
+            assert got == np.inf
+
+
+@pytest.mark.parametrize("f", SUP_FUNCTIONS, ids=lambda f: f.label)
 def test_lq_sup_equals_the_one_interval_formula(f):
     rng = np.random.default_rng(5)
     for m in (LEB, power_measure(0.5), CUSTOM):
