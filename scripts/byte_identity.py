@@ -14,8 +14,10 @@ one side only or differs in its bytes (`report.json`, `report.csv` and
 
 Then it runs a fixed list of one-shot CLI queries in each tree (QUERIES:
 the README's CLI examples, `cover --random 200` at seeds 0, 7 and 61 on
-Lebesgue and a power measure, and two more `weight` queries) and prints
-one summary line, then every query whose stdout or exit code differs.
+Lebesgue and a power measure, two more `weight` queries, and `maximal`
+at beta = 2 and inf and `norm` at p = 2 and inf of tents on Lebesgue and
+a power measure) and prints one summary line, then every query whose
+stdout or exit code differs.
 
 Exits 1 on any byte difference in a report or a query's stdout, 2 if a
 sweep could not run, else 0.
@@ -52,6 +54,21 @@ QUERIES = [
                       ("power:0.5", "7"), ("power:0.5", "61")]],
     ["weight", "--measure", "power:0.5", "--weight", "power:0.25", "--r", "2"],
     ["weight", "--measure", "power:0.264", "--weight", "power:-0.2", "--r", "3"],
+    # tents, whose tables are valued by half-segment slices, across 0 and
+    # on one side of it
+    *[["maximal", "--measure", m, "--function", f, "--q", q, "--beta", beta, "--x", x]
+      for m, f, q, beta, x in [
+          ("lebesgue", "tent:-1:1.5", "1", "2", "0.3"),
+          ("power:0.3", "tent:-1:1.5", "2", "inf", "-0.4"),
+          ("lebesgue", "tent:0.5:2:3", "2", "inf", "3"),
+          ("power:0.3", "tent:0.5:2:3", "1.5", "2", "1")]],
+    *[["norm", "--measure", m, "--function", f, "--q", q, "--p", p, "--alpha", alpha,
+       "--r", r]
+      for m, f, q, p, alpha, r in [
+          ("lebesgue", "tent:-1:1.5", "1", "2", "1.5", "1"),
+          ("power:0.3", "tent:-1:1.5", "1", "inf", "2", "0.5"),
+          ("power:0.3", "tent:0.5:2:3", "2", "2", "2", "1"),
+          ("lebesgue", "tent:0.5:2:3", "1.5", "inf", "3", "2")]],
 ]
 
 

@@ -111,7 +111,9 @@ _LADDER_SCALES = 2.0 ** -np.arange(40)     # panel widths over the ladder's span
 def _gk_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Kronrod nodes of the panels [lo, hi] and their half widths."""
     half = 0.5 * (hi - lo)
-    return (0.5 * (lo + hi))[..., None] + half[..., None] * GK_NODES, half
+    nodes = half[..., None] * GK_NODES
+    nodes += (0.5 * (lo + hi))[..., None]
+    return nodes, half
 
 
 def gk_panels(phi: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,7 +485,18 @@ class RadonMeasure:
                     return math.copysign(((1.0 - a) * abs(v)) ** (1.0 / (1.0 - a)), v)
                 except OverflowError:
                     pass
-            return self._wrap(t, lambda v: np.sign(v) * ((1.0 - a) * np.abs(v)) ** (1.0 / (1.0 - a)))
+
+            def inv(v):
+                # In place: a table build maps 61,440 nodes at once, and
+                # each temporary of that size costs about as much as the
+                # arithmetic.
+                out = np.abs(v)
+                out *= 1.0 - a
+                out **= 1.0 / (1.0 - a)
+                out *= np.sign(v)
+                return out
+
+            return self._wrap(t, inv)
         return self._wrap(t, self.table.inv_cdf)
 
     def density(self, x):

@@ -191,14 +191,19 @@ def _product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 def _scan(family: Sequence[IntervalRC],
           values: np.ndarray) -> WeightConditionResult:
-    best, best_I = -np.inf, None
-    levels: dict[int, float] = {}
-    for I, val in zip(family, values.tolist()):
-        key = int(round(np.log2(I.mass)))
-        levels[key] = max(levels.get(key, -np.inf), val)
-        if val > best:
-            best, best_I = val, I
-    per_level = tuple(sorted((2.0 ** k, v) for k, v in levels.items()))
+    """The sup over a nonempty family and its maximum per mass level
+    2^k, k the nearest integer to log2(mass).  NaN values are skipped,
+    the first interval of the greatest value is the argmax, and there is
+    none when every value is -inf or NaN."""
+    keys, level = np.unique(np.rint(np.log2([I.mass for I in family])),
+                            return_inverse=True)
+    maxima = np.full(keys.size, -np.inf)
+    np.fmax.at(maxima, level, values)
+    per_level = tuple(zip([2.0 ** k for k in keys.astype(int).tolist()], maxima.tolist()))
+    vals = np.where(np.isnan(values), -np.inf, values)
+    i = int(np.argmax(vals))
+    best = float(vals[i])
+    best_I = family[i] if best > -np.inf else None
     diverging = not np.isfinite(best)
     if not diverging and len(per_level) >= 2:
         prev, last = per_level[-2][1], per_level[-1][1]

@@ -14,6 +14,7 @@ from amalgam.measure import (IntervalRC, QuadratureError, _interval_integrals,
 from amalgam.weights import (
     SubsetSampler,
     _ess_sups,
+    _scan,
     a_infty_epsilon_delta,
     a_r_constant,
     default_interval_family,
@@ -434,3 +435,51 @@ def test_a_r_constant_integrates_each_cell_once(monkeypatch):
     res = a_r_constant(LEB, make_weight({"kind": "power", "b": 0.2}), 2)
     assert res.interval_count == len(default_interval_family(LEB))
     assert 0 < len(calls) <= 200
+
+
+def _loop_scan(family, values):
+    """(constant, argmax, count, diverging, per_level) as the
+    per-interval loop computed them."""
+    best, best_I = -np.inf, None
+    levels = {}
+    for I, val in zip(family, values.tolist()):
+        key = int(round(np.log2(I.mass)))
+        levels[key] = max(levels.get(key, -np.inf), val)
+        if val > best:
+            best, best_I = val, I
+    per_level = tuple(sorted((2.0 ** k, v) for k, v in levels.items()))
+    diverging = not np.isfinite(best)
+    if not diverging and len(per_level) >= 2:
+        diverging = per_level[-1][1] > 1.2 * per_level[-2][1]
+    return best, best_I, len(family), diverging, per_level
+
+
+def _scan_cases():
+    """Seeded families: masses spread over levels, on them and on the
+    half-way points between them; values with ties, NaN, +-inf."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        masses = np.where(rng.random(n) < 0.2, 2.0 ** (rng.integers(-8, 8, n) / 2.0),
+                          2.0 ** rng.uniform(-8.0, 8.0, n))
+        values = rng.integers(0, 6, n) * 0.5 + np.where(rng.random(n) < 0.5,
+                                                         rng.random(n), 0.0)
+        special = rng.choice([np.nan, -np.inf, np.inf], n)
+        values = np.where(rng.random(n) < [0.0, 0.1, 0.3, 0.9][seed % 4], special, values)
+        if seed % 10 == 0:
+            values = np.where(np.isnan(values), -np.inf, values)
+        yield [IntervalRC(0.0, 1.0, float(mass)) for mass in masses], values
+    family = [IntervalRC(0.0, 1.0, mass) for mass in (0.3, 1.0, 1.5, 4.0)]
+    for fill in ([-np.inf] * 4, [np.nan] * 4, [np.nan, -np.inf, np.nan, -np.inf],
+                 [np.nan, 2.0, np.inf, np.inf], [1.0, 1.0, 1.0, 1.0]):
+        yield family, np.array(fill)
+
+
+def test_scan_equals_the_per_interval_loop():
+    for family, values in _scan_cases():
+        got = _scan(family, values)
+        best, best_I, count, diverging, per_level = _loop_scan(family, values)
+        assert np.float64(got.constant).tobytes() == np.float64(best).tobytes()
+        assert got.argmax_interval is best_I
+        assert (got.interval_count, got.diverging) == (count, diverging)
+        assert np.array(got.per_level).tobytes() == np.array(per_level).tobytes()
