@@ -35,7 +35,7 @@ from .functions import (RealFunction, indicator, make_function, power_function,
                         tent)
 from .measure import (DivergenceError, QuadratureError, _interval_integrals,
                       growth_constant, lebesgue, make_interval, make_measure,
-                      power_measure, RadonMeasure)
+                      RadonMeasure)
 from .norms import (Exponent, LqTables, _levels, _top, amalgam_norm,
                     default_r_grid, lq_norm, weak_norm)
 from .operators import (Kernel, farfield_bound_check, make_kernel,
@@ -274,13 +274,31 @@ def _growth_gate(m: RadonMeasure) -> float:
     return g
 
 
-def _gate_family(m: RadonMeasure, gs: int):
+def _tail_gate(scn: Scenario, m: RadonMeasure, t_lo: float, t_hi: float):
+    """Require F^-1 finite on the scanned masses [t_lo, t_hi].
+
+    A tail such as a 1/|x| density of small weight at the window edge
+    takes the mass beyond the largest double: F^-1 overflows to -inf or
+    inf there, and a scan would sit at infinite x.  F^-1 increases, so
+    its two ends decide.
+    """
+    for tail, t in (("left", t_lo), ("right", t_hi)):
+        with np.errstate(over="ignore"):
+            x = m.inv_cdf(float(t))
+        _require(math.isfinite(x), f"{scn.name}: measure: F^-1 overflows in "
+                 f"the {tail} tail at the scanned mass {t:g}")
+
+
+def _gate_family(scn: Scenario, m: RadonMeasure, gs: int):
+    # Its intervals reach 16 in mass on either side of F(0).
+    t0 = m.cdf(0.0)
+    _tail_gate(scn, m, t0 - 16.0, t0 + 16.0)
     return default_interval_family(m, span_mass=16.0, centers=12 * gs, scales=5)
 
 
 def _weight_gate(scn: Scenario, m: RadonMeasure, wgt: Weight, q, q1, beta, gs: int):
     try:
-        cond = thm21_condition(m, wgt, q, q1, beta, _gate_family(m, gs))
+        cond = thm21_condition(m, wgt, q, q1, beta, _gate_family(scn, m, gs))
     except ValueError as e:
         raise HypothesisRejected(f"{scn.name}: weight: {e}") from e
     _require(math.isfinite(cond.constant) and not cond.diverging,
@@ -309,6 +327,11 @@ def sample_grid(m: RadonMeasure, window_mass: float, samples: int) -> SampleGrid
     ts = t_lo + cell * (np.arange(samples) + 0.5)
     xs = np.asarray(m.inv_cdf(ts), float)
     return SampleGrid(ts=ts, xs=xs, cell=cell, t_lo=t_lo, t_hi=t_hi)
+
+
+def _scenario_grid(scn: Scenario, m: RadonMeasure, gs: int) -> SampleGrid:
+    _tail_gate(scn, m, -scn.window_mass, scn.window_mass)
+    return sample_grid(m, scn.window_mass, scn.samples * gs)
 
 
 def weight_cell_masses(m: RadonMeasure, wfn: RealFunction, grid: SampleGrid) -> np.ndarray:
@@ -574,7 +597,7 @@ def _thm21(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     wgt = _scenario_weight(scn)
     cond = _weight_gate(scn, m, wgt, q, q1, beta, gs)
     fam = _scenario_functions(scn, alpha)
-    grid = sample_grid(m, scn.window_mass, scn.samples * gs)
+    grid = _scenario_grid(scn, m, gs)
     wmass = weight_cell_masses(m, wgt.powered(theta), grid)
     details = {"theta": theta, "weight_condition": cond.constant,
                "weight_intervals": cond.interval_count}
@@ -615,7 +638,7 @@ def _cor23_24(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
 
     m = _scenario_measure(scn)
     fam = _scenario_functions(scn, alpha)
-    grid = sample_grid(m, scn.window_mass, scn.samples * gs)
+    grid = _scenario_grid(scn, m, gs)
 
     def evaluate(f):
         prof = maximal_profile(m, f, q, beta, grid.xs, table=tables.get(m, f, q))
@@ -645,7 +668,7 @@ def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     k = _scenario_kernel(scn)
     _kernel_eta_gate(m, k, beta)
     wgt = _scenario_weight(scn)
-    small_fam = _gate_family(m, gs)[: 18 * gs]
+    small_fam = _gate_family(scn, m, gs)[: 18 * gs]
     sampler = SubsetSampler(seed=scn.seed, strata=(0.05, 0.15, 0.4, 0.8),
                             draws_per_stratum=1)
     try:
@@ -655,7 +678,7 @@ def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     _require(delta_hat > 0.0,
              f"{scn.name}: weight failed the mass-concentration sampling")
 
-    grid = sample_grid(m, scn.window_mass, scn.samples * gs)
+    grid = _scenario_grid(scn, m, gs)
     wmass = weight_cell_masses(m, wgt.fn, grid)
     details = {"growth_constant": growth, "delta_hat": delta_hat, "eps": 0.5,
                "p": p.value, "amalgam_norms": {}}
@@ -696,7 +719,7 @@ def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     k = _scenario_kernel(scn)
     _kernel_eta_gate(m, k, beta)
     fam = _scenario_functions(scn)
-    grid = sample_grid(m, scn.window_mass, scn.samples * gs)
+    grid = _scenario_grid(scn, m, gs)
 
     opts = scn.options
     a_fracs = tuple(float(v) for v in opts.get("a_fracs", (0.5, 0.25)))
@@ -809,10 +832,12 @@ def _lem33(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         core = m.mass(f.support)
         _require(core > 0.0, f"{f.label} has zero-mass support")
         t1, t2 = m.cdf(f.support.a), m.cdf(f.support.b)
+        offs = core * np.geomspace(0.5, 8.0, n_off)
+        _tail_gate(scn, m, t1 - core - offs[-1], t2 + core + offs[-1])
         y1 = float(m.inv_cdf(t1 - core))
         y2 = float(m.inv_cdf(t2 + core))
         rows, table = [], tables.get(m, f, q)
-        for off in core * np.geomspace(0.5, 8.0, n_off):
+        for off in offs:
             for label, t_x in (("right", t2 + core + off), ("left", t1 - core - off)):
                 x = float(m.inv_cdf(t_x))
                 lhs, rhs = farfield_bound_check(m, f, q, beta, y1, f.support.a,
@@ -831,7 +856,7 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     k = _scenario_kernel(scn)
     alpha, beta = _exponent(scn, "alpha"), _exponent(scn, "beta")
     _kernel_eta_gate(m, k, beta)
-    grid = sample_grid(m, scn.window_mass, scn.samples * gs)
+    grid = _scenario_grid(scn, m, gs)
 
     if scn.target == "prop34":
         q, q1 = _exponent(scn, "q"), _exponent(scn, "q1")
@@ -916,6 +941,9 @@ def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     gamma = _real_param(scn, "gamma")
     alpha = _exponent(scn, "alpha")
     _require(0.0 < a < gamma < 1.0, "need 0 < a < gamma < 1")
+    m_a = _scenario_measure(scn)
+    _require(m_a.kind == "power" and m_a.a == a,
+             "measure block must be power with a = exponents.a")
     _require(_le(alpha.recip, 1.0), f"need alpha >= 1, got {alpha.value:g}")
     ratio_ga = (gamma - a) / (1.0 - a)
     _require(alpha.recip > ratio_ga + _EPS, "need alpha < (1 - a)/(gamma - a)")
@@ -937,7 +965,7 @@ def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     if sw:
         _require(alpha.recip < 1.0, "the closing inequality needs alpha > 1")
 
-    m_a, leb = power_measure(a), lebesgue()
+    leb = lebesgue()
     fam = _scenario_functions(scn, alpha)
     details = {"s": s, "eta": 1.0 / inv_eta}
 
@@ -966,7 +994,7 @@ def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     theta = 1.0 / inv_th
     details["theta"] = theta
     part2 = alpha.recip < 1.0
-    grid = sample_grid(m_a, scn.window_mass, scn.samples * gs)
+    grid = _scenario_grid(scn, m_a, gs)
 
     def evaluate(f):
         bigf = power_twist(f, a)
@@ -1043,6 +1071,9 @@ def _covering_trials(scn: Scenario, gs: int) -> VerificationReport:
     ulp = float(np.spacing(max(map(abs, center_range)) + mass_range[1]))
     need(mass_range[0] > 2.0 * ulp, f"options.mass_range needs lo > {2.0 * ulp:g}, "
          f"twice the double spacing at the centers")
+    # The family's window reaches 2 in mass past the centres.
+    reach = max(2.0, mass_range[1] / 2.0)
+    _tail_gate(scn, m, center_range[0] - reach, center_range[1] + reach)
     done = select_cover(random_family(m, count=count,
                                       seed=range(scn.seed, scn.seed + trials),
                                       mass_range=mass_range, center_range=center_range))

@@ -30,7 +30,7 @@ from amalgam.harness import (
     write_report,
 )
 from amalgam.functions import power_function, tent
-from amalgam.measure import lebesgue, make_interval, power_measure
+from amalgam.measure import lebesgue, make_interval, make_measure, power_measure
 from amalgam.norms import Exponent, LqTable, LqTables
 from amalgam.weights import make_weight
 
@@ -195,6 +195,56 @@ def test_rejection_scenarios_on_disk():
         scn = load_scenario(f"scenarios/{stem}.json")
         with pytest.raises(HypothesisRejected):
             run_scenario(scn)
+
+
+def test_prop41_order_is_rejected_before_its_measure_block():
+    # Its block says a = 0.5 and its exponents a = 0.6 > gamma.
+    with pytest.raises(HypothesisRejected, match=r"^need 0 < a < gamma < 1$"):
+        run_scenario(load_scenario("scenarios/reject_prop41_order.json"))
+
+
+@pytest.mark.parametrize("measure", [{"kind": "power", "a": 0.3}, {"kind": "lebesgue"}],
+                         ids=["power0.3", "lebesgue"])
+@pytest.mark.parametrize("stem", ["prop41_alpha1", "steinweiss_a25"])
+def test_prop41_rejects_a_measure_block_other_than_its_power_measure(stem, measure):
+    block = json.loads(Path(f"scenarios/{stem}.json").read_text())
+    assert block["measure"] == {"kind": "power", "a": block["exponents"]["a"]}
+    block["measure"] = measure
+    with pytest.raises(HypothesisRejected,
+                       match=r"^measure block must be power with a = exponents\.a$"):
+        run_scenario(parse_scenario(block))
+
+
+# Density 1 on [-0.3, 0.3], 1e-4 outside, 1/|x| tails: F^-1(-4) and F^-1(4)
+# overflow to -inf and inf.
+LIGHT_TAILS = {"kind": "custom", "tail": {"left_exp": 1, "right_exp": 1},
+               "density_table": [[-2, 1e-4], [-0.301, 1e-4], [-0.3, 1], [0.3, 1],
+                                 [0.301, 1e-4], [2, 1e-4]]}
+
+
+@pytest.mark.parametrize("stem, mass", [
+    ("thm21_part1_custom", -16), ("thm31_lebesgue", -16), ("prop34_lebesgue", -8),
+    ("lem33_lebesgue", -5.71083), ("cor24_lebesgue", -8), ("covering_lebesgue", -6)])
+def test_a_tail_that_overflows_f_inverse_is_rejected(stem, mass):
+    m = make_measure(LIGHT_TAILS)
+    with np.errstate(over="ignore"):
+        assert m.inv_cdf(-4.0) == -np.inf and m.inv_cdf(4.0) == np.inf
+    block = json.loads(Path(f"scenarios/{stem}.json").read_text())
+    block["measure"] = LIGHT_TAILS
+    # The suite turns warnings into errors, so no overflow may warn first.
+    with pytest.raises(HypothesisRejected, match=(
+            rf"^{stem}: measure: F\^-1 overflows in the left tail at the "
+            rf"scanned mass {mass}$")):
+        run_scenario(parse_scenario(block))
+
+
+def test_cli_rejects_a_tail_that_overflows_f_inverse_with_exit_2(tmp_path, capsys):
+    block = json.loads(Path("scenarios/thm31_lebesgue.json").read_text())
+    block["measure"] = LIGHT_TAILS
+    p = tmp_path / "light.json"
+    p.write_text(json.dumps(block))
+    assert main(["verify", "--scenario", str(p)]) == 2
+    assert "F^-1 overflows in the left tail" in capsys.readouterr().err
 
 
 def test_lem32_skip_is_not_failure():

@@ -1,6 +1,7 @@
 """Exponents, Lq/weak/block/amalgam norms and their scaling laws."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -724,3 +725,27 @@ def test_lq_sup_equals_the_one_interval_formula(f):
                 (f.support.a, f.support.b), (-0.3, 0.0), (0.0, 0.05)]:
             iv = IntervalRC(float(a), float(b))
             assert lq_norm(m, f, iv, "inf") == _parent_lq_sup(m, f, iv)
+
+
+def _on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap setting is glibc's mallopt")
+def test_table_builds_reuse_freed_memory():
+    # Each build's node-sized arrays (61,440 doubles) are freed and taken
+    # again by the next build.  With glibc's default thresholds they went
+    # back to the kernel and were faulted in again: about 330 minor faults
+    # per build.  Importing amalgam keeps them in the heap.
+    import resource
+
+    m, f, q = power_measure(0.4), tent(-1.0, 1.5), Exponent.of(2)
+    for _ in range(3):
+        LqTable(m, f, q)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        LqTable(m, f, q)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 20
