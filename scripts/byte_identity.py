@@ -7,9 +7,15 @@ print byte-identical one-shot query results.
 Runs the README's "Byte-identical changes" recipe in each tree (every
 scenario of its `scenarios/` at seeds 0, 7 and 61, and at
 `--grid-scale 2`, with that tree's `src/` on PYTHONPATH) into a
-temporary directory, which it removes.  For each of the four sweeps it
-prints `compare_reports.py`'s summary line, then every file that is on
-one side only or differs in its bytes (`report.json`, `report.csv` and
+temporary directory, which it removes.  A fifth sweep, `drop`, runs in
+both trees on the same files: the six scenarios of DROP_SCENARIOS,
+taken from PARENT_TREE's `scenarios/`, with each one's measure block
+swapped for the drop measure at eps = 1e-2 (DROP_MEASURE: density 1 on
+[-0.3, 0.3], eps beyond +-0.301, |x|^-0.5 tails).  It is the one sweep
+that runs custom tails and density knots, which the CLI's `--measure`
+cannot express.  For each of the five sweeps it prints
+`compare_reports.py`'s summary line, then every file that is on one
+side only or differs in its bytes (`report.json`, `report.csv` and
 `sweep_summary.json` alike).
 
 Then it runs a fixed list of one-shot CLI queries in each tree (QUERIES:
@@ -25,6 +31,7 @@ sweep could not run, else 0.
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +43,18 @@ from compare_reports import compare  # noqa: E402
 
 SWEEPS = {"seed0": ["--seed", "0"], "seed7": ["--seed", "7"],
           "seed61": ["--seed", "61"], "gs2": ["--grid-scale", "2"]}
+
+# A measure far from doubling (scanned doubling constant about 51) whose
+# growth constant stays at most 2, and the scenarios it was probed on.
+DROP_EPS = 1e-2
+DROP_MEASURE = {
+    "kind": "custom",
+    "density_table": [[-2, DROP_EPS], [-0.301, DROP_EPS], [-0.3, 1], [0.3, 1],
+                      [0.301, DROP_EPS], [2, DROP_EPS]],
+    "tail": {"left_exp": 0.5, "right_exp": 0.5},
+}
+DROP_SCENARIOS = ["cor24_lebesgue", "thm21_part1_custom", "thm31_lebesgue",
+                  "prop34_lebesgue", "cor36_alpha2", "lem33_lebesgue"]
 
 
 QUERIES = [
@@ -81,14 +100,25 @@ def _run_queries(tree: Path) -> list[tuple[int, str]]:
     return [(run.returncode, run.stdout) for run in runs]
 
 
-def _run_sweeps(tree: Path, out: Path) -> None:
-    """The four sweeps of the recipe, run in tree, into out/<name>."""
+def _write_drop_scenarios(tree: Path, out: Path) -> None:
+    """DROP_SCENARIOS of tree's scenarios/ on DROP_MEASURE, written into out."""
+    out.mkdir()
+    for name in DROP_SCENARIOS:
+        spec = json.loads((tree / "scenarios" / f"{name}.json").read_text())
+        spec["measure"] = DROP_MEASURE
+        (out / f"{name}.json").write_text(json.dumps(spec, indent=2, sort_keys=True))
+
+
+def _run_sweeps(tree: Path, out: Path, drop_dir: Path) -> None:
+    """The four sweeps of the recipe and the drop sweep over drop_dir,
+    run in tree, into out/<name>."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    for name, flags in SWEEPS.items():
+    sweeps = [(name, "scenarios", flags) for name, flags in SWEEPS.items()]
+    for name, scenarios, flags in [*sweeps, ("drop", str(drop_dir), [])]:
         # A sweep exits 1 when a scenario fails and 2 when one is
         # rejected; both still write every report.
         done = subprocess.run([sys.executable, "-m", "amalgam", "sweep", "--dir",
-                               "scenarios", "--out", str(out / name), *flags],
+                               scenarios, "--out", str(out / name), *flags],
                               cwd=tree, env=env, capture_output=True, text=True)
         if done.returncode not in (0, 1, 2) or not (out / name).is_dir():
             raise RuntimeError(f"sweep {name} in {tree} exited {done.returncode}:\n"
@@ -118,14 +148,16 @@ def main(argv=None) -> int:
             ap.error(f"{tree} has no src/amalgam or scenarios/")
     with tempfile.TemporaryDirectory(prefix="byte_identity_") as tmp:
         outs = [Path(tmp) / "parent", Path(tmp) / "change"]
+        drop_dir = Path(tmp) / "drop_scenarios"
+        _write_drop_scenarios(trees[0], drop_dir)
         try:
             for tree, out in zip(trees, outs):
-                _run_sweeps(tree, out)
+                _run_sweeps(tree, out, drop_dir)
         except RuntimeError as e:
             print(e, file=sys.stderr)
             return 2
         code = 0
-        for name in SWEEPS:
+        for name in [*SWEEPS, "drop"]:
             old, new = outs[0] / name, outs[1] / name
             summary = io.StringIO()
             compare(old, new, out=summary)

@@ -1,5 +1,7 @@
 """Measure construction, quadrature, partitions, growth constants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -519,3 +521,198 @@ def test_scalar_inv_cdf_overflow_warns_as_numpy(a):
             fn()
         with np.errstate(over="ignore"):
             assert fn() == np.inf
+
+
+# --- F and F^-1 on custom measures: the array path against the per-point
+# formulas it replaced, and the scalar path against their numpy 0-d path.
+# _RefTable is that code, kept here as the reference: it evaluates every
+# piece's formula on every point and picks with np.where, so it warns on
+# points of the other pieces and runs under np.errstate(all="ignore").
+
+class _RefTable:
+    def __init__(self, m):
+        t = m.table
+        self.xs, self.ws = t.xs, t.ws
+        self.left_exp, self.right_exp = t.left_exp, t.right_exp
+        seg = 0.5 * (self.ws[:-1] + self.ws[1:]) * np.diff(self.xs)
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        self._cum = cum - self._cum_from_left(np.array([0.0]), cum)[0]
+
+    def _cum_from_left(self, x, cum):
+        xs, ws = self.xs, self.ws
+        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+        x0, w0 = xs[idx], ws[idx]
+        slope = (ws[idx + 1] - w0) / (xs[idx + 1] - x0)
+        d = x - x0
+        return cum[idx] + w0 * d + 0.5 * slope * d * d
+
+    def _tail_mass(self, x, side):
+        if side < 0:
+            x0, w0, e = self.xs[0], self.ws[0], self.left_exp
+        else:
+            x0, w0, e = self.xs[-1], self.ws[-1], self.right_exp
+        ratio = x / x0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if e == 1.0:
+                return w0 * abs(x0) * np.log(ratio)
+            return w0 * abs(x0) * (ratio ** (1.0 - e) - 1.0) / (1.0 - e)
+
+    def _tail_inverse(self, mass, side):
+        if side < 0:
+            x0, w0, e = self.xs[0], self.ws[0], self.left_exp
+        else:
+            x0, w0, e = self.xs[-1], self.ws[-1], self.right_exp
+        u = mass / (w0 * abs(x0))
+        if e == 1.0:
+            return x0 * np.exp(u)
+        return x0 * (1.0 + (1.0 - e) * u) ** (1.0 / (1.0 - e))
+
+    def cdf(self, x):
+        x = np.asarray(x, float)
+        out = self._cum_from_left(x, self._cum)
+        left = x < self.xs[0]
+        right = x > self.xs[-1]
+        if left.any():
+            out = np.where(left, self._cum[0] - self._tail_mass(x, -1), out)
+        if right.any():
+            out = np.where(right, self._cum[-1] + self._tail_mass(x, +1), out)
+        return out
+
+    def inv_cdf(self, t):
+        t = np.asarray(t, float)
+        cum, xs, ws = self._cum, self.xs, self.ws
+        idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(xs) - 2)
+        x0, w0 = xs[idx], ws[idx]
+        slope = (ws[idx + 1] - w0) / (xs[idx + 1] - x0)
+        mass = t - cum[idx]
+        disc = np.sqrt(np.maximum(w0 * w0 + 2.0 * slope * mass, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(np.abs(slope) > 1e-300 * np.abs(w0) + 1e-300,
+                         2.0 * mass / np.maximum(w0 + disc, 1e-300),
+                         mass / np.maximum(w0, 1e-300))
+        out = x0 + d
+        left = t < cum[0]
+        right = t > cum[-1]
+        if left.any():
+            out = np.where(left, self._tail_inverse(cum[0] - t, -1), out)
+        if right.any():
+            out = np.where(right, self._tail_inverse(t - cum[-1], +1), out)
+        return out
+
+
+def _drop(eps):
+    """Density 1 on [-0.3, 0.3] and eps beyond +-0.301: far from doubling."""
+    return [[-2, eps], [-0.301, eps], [-0.3, 1], [0.3, 1], [0.301, eps], [2, eps]]
+
+
+FOUND_TABLE = [[-2, 1], [-0.5, 0.4], [0.5, 2], [2, 1]]
+CUSTOM_MEASURES = {
+    "suite": custom(),
+    "e0.25": custom_measure(FOUND_TABLE, 0.25, 0.25),
+    "drop1e-2": custom_measure(_drop(1e-2), 0.5, 0.5),
+    "drop1e-6": custom_measure(_drop(1e-6), 0.5, 0.5),
+    "constant": custom_measure([[-1, 1], [0, 1], [1, 1]], 0.5, 0.5),
+    "one_segment": custom_measure([[-1, 1], [1, 2]], 0.5, 0.5),
+    "e0.8_e1": custom_measure(DENSITY_TABLE, 0.8, 1.0),
+    "e1_e0.8": custom_measure(DENSITY_TABLE, 1.0, 0.8),
+    # zero-density knots, and a growing left tail whose F overflows
+    "zero_knot": custom_measure([[-2, 1], [-1, 0], [0.5, 3], [1, 0], [2, 1]], -0.5, 0.3),
+}
+
+
+def _custom_scalar_inputs(m, seed):
+    """_scalar_inputs, points spread over the window and over the range
+    of F on it and beyond, the knots, the values of F at them, and their
+    neighbours."""
+    rng = np.random.default_rng(seed)
+    t = m.table
+    ends = np.array([t.xs[0], t.xs[-1], t._cum[0], t._cum[-1]])
+    spread = [rng.uniform(2 * ends[0], 2 * ends[1], 1000),
+              rng.uniform(2 * ends[2], 2 * ends[3], 1000)]
+    knots = np.concatenate([t.xs, t._cum])
+    near = [np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf)]
+    return (_scalar_inputs(seed, 2000) + np.concatenate(spread).tolist()
+            + np.concatenate([knots, *near]).tolist())
+
+
+@pytest.mark.parametrize("name", CUSTOM_MEASURES)
+def test_custom_scalar_matches_numpy_0d_by_bits(name):
+    m = CUSTOM_MEASURES[name]
+    ref = _RefTable(m)
+    assert np.array_equal(_bits(m.table._cum), _bits(ref._cum))
+    vals = _custom_scalar_inputs(m, len(name))
+    for fn, ref_fn in ((m.cdf, ref.cdf), (m.inv_cdf, ref.inv_cdf)):
+        with np.errstate(over="ignore"):   # F or F^-1 overflows on both paths
+            got = [fn(x) for x in vals]
+            got64 = [fn(np.float64(x)) for x in vals]
+        with np.errstate(all="ignore"):
+            want = [float(ref_fn(x)) for x in vals]
+        assert all(type(g) is float for g in got + got64)
+        # the sign of a zero and the bits of a NaN included
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(got64), _bits(want))
+
+
+@pytest.mark.parametrize("name, fn, x", [
+    ("e0.8_e1", "inv_cdf", 1e5),          # numpy's exp of an exponent-1 tail
+    ("suite", "inv_cdf", 1e300),          # Python's pow raises, numpy warns
+    ("zero_knot", "cdf", -1e300),         # a growing tail: (x/x0)**1.5
+])
+def test_custom_scalar_overflow_warns_as_numpy(name, fn, x):
+    m = CUSTOM_MEASURES[name]
+    ref = _RefTable(m)
+    for f in (getattr(m, fn), lambda v: float(getattr(ref, fn)(v))):
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            f(x)
+        with np.errstate(over="ignore"):
+            assert abs(f(x)) == np.inf
+
+
+def test_custom_tails_evaluate_only_their_own_points():
+    """Each tail's formula runs on its own side only: the far side's
+    negative base of (1 + (1 - e) u) ** (1 / (1 - e)) and the window's
+    d * d at |x| = 1e200 used to warn and, under an error filter, raise."""
+    m = CUSTOM_MEASURES["e0.25"]
+    ref = _RefTable(m)
+    cases = [("inv_cdf", np.array([-5.0, 5.0])), ("cdf", np.array([-1e200, 1e200]))]
+    for fn, x in cases:
+        with np.errstate(all="ignore"):
+            want = getattr(ref, fn)(x)
+            want0 = [float(getattr(ref, fn)(np.asarray(v))) for v in x]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = getattr(m, fn)(x)
+            got0 = [getattr(m, fn)(float(v)) for v in x]
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(got0), _bits(want0))
+
+
+@pytest.mark.parametrize("name", CUSTOM_MEASURES)
+def test_custom_array_matches_per_point_formulas_by_bits(name):
+    m = CUSTOM_MEASURES[name]
+    ref = _RefTable(m)
+    rng = np.random.default_rng(len(name))
+    t = m.table
+    n = 100_000
+    for fn, lo, hi in (("cdf", t.xs[0], t.xs[-1]), ("inv_cdf", t._cum[0], t._cum[-1])):
+        # a third in the window, a third on each tail out to 1e100
+        tail = 10.0 ** rng.uniform(0.0, 100.0, n // 3)
+        pts = np.concatenate([rng.uniform(lo, hi, n - 2 * (n // 3)),
+                              lo - tail * (hi - lo), hi + tail * (hi - lo)])
+        rng.shuffle(pts)
+        pts = np.concatenate([pts, t.xs, t._cum, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+        with np.errstate(over="ignore"):   # exp of an exponent-1 tail
+            got = getattr(m, fn)(pts)
+            got2d = getattr(m, fn)(pts[:1000].reshape(20, 50))
+        with np.errstate(all="ignore"):
+            want = getattr(ref, fn)(pts)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(got2d), _bits(want[:1000]).reshape(20, 50))
+        # a 0-d array, and an int, take the scalar path and give a float
+        for v in [*pts[:50], 0, 1]:
+            with np.errstate(over="ignore"):
+                got0 = getattr(m, fn)(np.asarray(v))
+            with np.errstate(all="ignore"):
+                want0 = float(getattr(ref, fn)(np.asarray(v, float)))
+            assert type(got0) is float and _bits(got0) == _bits(want0)
