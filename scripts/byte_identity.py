@@ -18,12 +18,12 @@ cannot express.  For each of the five sweeps it prints
 side only or differs in its bytes (`report.json`, `report.csv` and
 `sweep_summary.json` alike).
 
-Then it runs a fixed list of one-shot CLI queries in each tree (QUERIES:
-the README's CLI examples, `cover --random 200` at seeds 0, 7 and 61 on
-Lebesgue and a power measure, two more `weight` queries, and `maximal`
-at beta = 2 and inf and `norm` at p = 2 and inf of tents on Lebesgue and
-a power measure) and prints one summary line, then every query whose
-stdout or exit code differs.
+Then it runs a fixed list of CLI queries in each tree (QUERIES: the
+README's CLI examples, its `verify` without `--out`, `cover --random
+200` at seeds 0, 7 and 61 on Lebesgue and a power measure, two more
+`weight` queries, and `maximal` at beta = 2 and inf and `norm` at p = 2
+and inf of tents on Lebesgue and a power measure) and prints one summary
+line, then every query whose stdout or exit code differs.
 
 Exits 1 on any byte difference in a report or a query's stdout, 2 if a
 sweep could not run, else 0.
@@ -58,7 +58,7 @@ DROP_SCENARIOS = ["cor24_lebesgue", "thm21_part1_custom", "thm31_lebesgue",
 
 
 QUERIES = [
-    # the README's one-shot examples
+    # the README's examples, verify without --out
     ["norm", "--measure", "power:0.5", "--function", "indicator:0:1", "--q", "1",
      "--p", "inf", "--alpha", "1", "--r", "1"],
     ["maximal", "--measure", "lebesgue", "--function", "indicator:0:1", "--q", "1",
@@ -67,6 +67,7 @@ QUERIES = [
      "--kernel", "riesz:0.5", "--x", "0"],
     ["weight", "--measure", "lebesgue", "--weight", "power:0.5", "--r", "2"],
     ["cover", "--measure", "lebesgue", "--random", "200", "--seed", "7"],
+    ["verify", "--scenario", "scenarios/thm31_lebesgue.json"],
     # covering trials at the sweep seeds, and weights on power measures
     *[["cover", "--measure", m, "--random", "200", "--seed", seed]
       for m, seed in [("lebesgue", "0"), ("lebesgue", "61"), ("power:0.5", "0"),

@@ -158,8 +158,7 @@ def _cmd_verify(args) -> int:
     scn = load_scenario(args.scenario)
     if args.seed is not None:
         scn.seed = args.seed
-    report = verify_scenario(scn, stability_tol=args.tol,
-                             base_scale=args.grid_scale)
+    report = verify_scenario(scn, base_scale=args.grid_scale)
     if args.out:
         write_report(report, args.out)
     print(f"{scn.name} [{report.target}] {report.verdict}: "
@@ -169,7 +168,7 @@ def _cmd_verify(args) -> int:
     return _verdict_code(report.verdict)
 
 
-def _sweep_one(path: Path, seed, tol, grid_scale):
+def _sweep_one(path: Path, seed, grid_scale):
     """One scenario file's summary entry (named by the file stem if the
     file is malformed), and its report if it was verified."""
     entry = {"scenario": path.stem, "target": None}
@@ -178,7 +177,7 @@ def _sweep_one(path: Path, seed, tol, grid_scale):
         if seed is not None:
             scn.seed = seed
         entry = {"scenario": scn.name, "target": scn.target}
-        report = verify_scenario(scn, stability_tol=tol, base_scale=grid_scale)
+        report = verify_scenario(scn, base_scale=grid_scale)
     except HypothesisRejected as e:
         return dict(entry, status="rejected", reason=str(e)), None
     except (ConfigError, NumericalFailure, DivergenceError, QuadratureError) as e:
@@ -193,8 +192,7 @@ def _cmd_sweep(args) -> int:
         paths.extend(sorted(Path(args.dir).glob("*.json")))
     if not paths:
         raise ConfigError("sweep needs --scenario files or --dir")
-    run = partial(_sweep_one, seed=args.seed, tol=args.tol,
-                  grid_scale=args.grid_scale)
+    run = partial(_sweep_one, seed=args.seed, grid_scale=args.grid_scale)
     pool = None
     if args.jobs > 1:
         # Imported only here, as they would add several percent to the
@@ -276,7 +274,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--grid-scale", type=positive_int, default=1)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("sweep", help="run many scenario files")
@@ -285,7 +282,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--grid-scale", type=positive_int, default=1)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--jobs", type=positive_int, default=1,
                    help="verify this many scenarios at once, in worker processes")
     p.set_defaults(fn=_cmd_sweep)

@@ -51,8 +51,19 @@ TARGETS = ("thm21_part1", "thm21_part2", "cor23", "cor24", "thm31_goodlambda",
 
 DEFAULT_SAMPLES = 4096
 DEFAULT_WINDOW_MASS = 8.0
-DEFAULT_KAPPAS = (0.5, 1.0, 2.0)
-DEFAULT_STABILITY_TOL = 0.2
+
+# The verdict gates, fixed: thm31's exponents kappa, the largest relative
+# drift of the constant under grid doubling, and how far an identity
+# row's ratio may sit from 1.
+KAPPAS = (0.5, 1.0, 2.0)
+STABILITY_TOL = 0.2
+IDENTITY_TOL = 1e-3
+
+# covering_trials: intervals per family, and the ranges of their masses
+# and of their centres, in measure coordinates.
+COVER_COUNT = 40
+COVER_MASSES = (0.5, 2.0)
+COVER_CENTRES = (-4.0, 4.0)
 
 _EPS = 1e-12
 
@@ -88,8 +99,8 @@ def _le(*vals: float) -> bool:
 
 
 _ALLOWED_KEYS = {"name", "notes", "target", "measure", "functions", "weight",
-                 "kernel", "exponents", "samples", "window_mass",
-                 "kappas", "tolerances", "seed", "options"}
+                 "kernel", "exponents", "samples", "window_mass", "seed",
+                 "options"}
 
 
 @dataclass
@@ -104,8 +115,6 @@ class Scenario:
     exponents: dict
     samples: int
     window_mass: float
-    kappas: tuple
-    tolerances: dict
     seed: int
     options: dict
     name: str
@@ -139,12 +148,6 @@ def parse_scenario(block: dict, name: str = "scenario") -> Scenario:
     window_mass = block.get("window_mass", DEFAULT_WINDOW_MASS)
     need(isinstance(window_mass, (int, float)) and window_mass > 0,
          "field 'window_mass' must be positive")
-    kappas = block.get("kappas", DEFAULT_KAPPAS)
-    need(isinstance(kappas, (list, tuple)) and len(kappas) > 0 and all(
-        isinstance(k, (int, float)) and k > 0 for k in kappas),
-        "field 'kappas' must be a non-empty list of positive numbers")
-    kappas = tuple(float(k) for k in kappas)
-    tolerances = dict(block.get("tolerances", {}))
     seed = block.get("seed", 0)
     need(isinstance(seed, int), "field 'seed' must be an int")
     options = block.get("options", {})
@@ -152,8 +155,7 @@ def parse_scenario(block: dict, name: str = "scenario") -> Scenario:
     return Scenario(target=target, measure=measure, functions=functions,
                     weight=block.get("weight"), kernel=block.get("kernel"),
                     exponents=exponents, samples=samples,
-                    window_mass=float(window_mass), kappas=kappas,
-                    tolerances=tolerances, seed=seed, options=options,
+                    window_mass=float(window_mass), seed=seed, options=options,
                     name=str(block.get("name", name)))
 
 
@@ -533,26 +535,22 @@ def run_scenario(scn: Scenario, grid_scale: int = 1, check_homogeneity: bool = T
 
     bounded = ("weak_le_full", "chain", "weak_le_strong", "p_monotone")
     rows_ok = not any(r["ratio"] > 1.0 + 1e-9 for r in rows if r["note"] in bounded)
-    identity = [r["ratio"] for r in rows if r["note"] == "identity"]
-    if identity:
-        tol = float(scn.tolerances.get("identity", 1e-3))
-        rows_ok = rows_ok and not any(abs(v - 1.0) > tol for v in identity)
+    rows_ok = rows_ok and not any(abs(r["ratio"] - 1.0) > IDENTITY_TOL
+                                  for r in rows if r["note"] == "identity")
     tested = [r for r in rows if r["note"] not in bounded + ("identity",)]
     constant = max((r["ratio"] for r in tested), default=0.0)
     return _finish(scn, grid_scale, rows, constant, plan.details, homo, rows_ok,
                    verdict, pool=[r for r in tested if r["note"] != "part2"])
 
 
-def verify_scenario(scn: Scenario, stability_tol: float | None = None,
-                    base_scale: int = 1) -> VerificationReport:
+def verify_scenario(scn: Scenario, base_scale: int = 1) -> VerificationReport:
     """Base run plus a doubled-grid rerun, sharing one LqTables (f's tables
     have 4096 cells at every grid scale); the relative drift of the
-    empirical constant becomes refinement_stability and feeds the verdict."""
+    empirical constant becomes refinement_stability, and a pass with a
+    drift above STABILITY_TOL becomes a fail."""
     tables = LqTables()
     report = run_scenario(scn, base_scale, True, tables=tables)
-    tol = (stability_tol if stability_tol is not None
-           else float(scn.tolerances.get("stability", DEFAULT_STABILITY_TOL)))
-    report.meta["stability_tol"] = tol
+    report.meta["stability_tol"] = STABILITY_TOL
     if report.verdict == "skip":
         return report
     refined = run_scenario(scn, 2 * base_scale, False, tables=tables)
@@ -565,7 +563,7 @@ def verify_scenario(scn: Scenario, stability_tol: float | None = None,
         rel = math.inf
     report.refinement_stability = rel
     report.details["refined_constant"] = c2
-    if report.verdict == "pass" and rel > tol:
+    if report.verdict == "pass" and rel > STABILITY_TOL:
         report.verdict = "fail"
     return report
 
@@ -693,7 +691,7 @@ def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         lams_m, sums_m = _levels(wmass, mprof, floor)
         rows = [_row(f.label, None, np.max(lams_k ** kappa * sums_k),
                      np.max(lams_m ** kappa * sums_m), note=f"kappa={kappa:g}")
-                for kappa in scn.kappas]
+                for kappa in KAPPAS]
         return _Eval(rows, 0, {"amalgam_norms": {f.label: af}})
 
     return _Plan(details, _scenario_functions(scn, alpha), evaluate)
@@ -1043,44 +1041,24 @@ def _covering_trials(scn: Scenario, gs: int) -> VerificationReport:
     the worst observed overlap, bounded by five.  It has no function
     family, so it runs outside the driver."""
     m = _scenario_measure(scn)
-    opts = scn.options
-
-    def need(ok: bool, what: str):
-        if not ok:
-            raise ConfigError(f"{scn.name}: {what}")
-
-    def pair(key, default):
-        v = opts.get(key, default)
-        need(isinstance(v, (list, tuple)) and len(v) == 2 and all(
-            isinstance(x, (int, float)) and math.isfinite(x) for x in v),
-            f"options.{key} must be two finite numbers")
-        return float(v[0]), float(v[1])
-
-    unknown = sorted(set(opts) - {"trials", "count", "mass_range", "center_range"})
-    need(not unknown, f"unknown option(s) {unknown}")
-    trials, count = opts.get("trials", 200), opts.get("count", 40)
-    for key, v in (("trials", trials), ("count", count)):
-        need(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-             f"options.{key} must be an int >= 1")
+    unknown = sorted(set(scn.options) - {"trials"})
+    if unknown:
+        raise ConfigError(f"{scn.name}: unknown option(s) {unknown}")
+    trials = scn.options.get("trials", 200)
+    if not (isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1):
+        raise ConfigError(f"{scn.name}: options.trials must be an int >= 1")
     trials *= gs
-    mass_range = pair("mass_range", (0.5, 2.0))
-    need(0.0 < mass_range[0] <= mass_range[1], "options.mass_range needs 0 < lo <= hi")
-    center_range = pair("center_range", (-4.0, 4.0))
-    need(center_range[0] < center_range[1], "options.center_range needs lo < hi")
-    # t -/+ mass/2 must be two doubles, or an interval collapses to a point.
-    ulp = float(np.spacing(max(map(abs, center_range)) + mass_range[1]))
-    need(mass_range[0] > 2.0 * ulp, f"options.mass_range needs lo > {2.0 * ulp:g}, "
-         f"twice the double spacing at the centers")
-    # The family's window reaches 2 in mass past the centres.
-    reach = max(2.0, mass_range[1] / 2.0)
-    _tail_gate(scn, m, center_range[0] - reach, center_range[1] + reach)
-    done = select_cover(random_family(m, count=count,
+    # The family's window reaches 2 in mass past the centres, beyond
+    # every interval's half mass.
+    _tail_gate(scn, m, COVER_CENTRES[0] - 2.0, COVER_CENTRES[1] + 2.0)
+    done = select_cover(random_family(m, count=COVER_COUNT,
                                       seed=range(scn.seed, scn.seed + trials),
-                                      mass_range=mass_range, center_range=center_range))
+                                      mass_range=COVER_MASSES,
+                                      center_range=COVER_CENTRES))
     worst = done.worst
     failure = None if done.failure is None else "trial {}: {}".format(*done.failure)
     rows = [_row("random_families", None, float(worst), 5.0, note=f"trials={trials}")]
-    details = {"trials": trials, "count": count, "worst_overlap": worst,
+    details = {"trials": trials, "count": COVER_COUNT, "worst_overlap": worst,
                "coverage_failure": failure}
     rows_ok = failure is None and worst <= 5
     return _finish(scn, gs, rows, float(worst), details, True, rows_ok)

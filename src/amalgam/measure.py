@@ -443,17 +443,6 @@ class _CustomTable:
             return x0 * np.exp(u)
         return x0 * (1.0 + (1.0 - e) * u) ** (1.0 / (1.0 - e))
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        out = np.interp(x, self.xs, self.ws)
-        left = x < self.xs[0]
-        right = x > self.xs[-1]
-        if left.any():
-            out = np.where(left, self.ws[0] * (x / self.xs[0]) ** -self.left_exp, out)
-        if right.any():
-            out = np.where(right, self.ws[-1] * (x / self.xs[-1]) ** -self.right_exp, out)
-        return out
-
     def cdf(self, x: np.ndarray) -> np.ndarray:
         return _by_piece(x, self._x_lo, self._x_hi,
                          lambda v: self._window_cdf(v, self._cum),
@@ -591,15 +580,6 @@ class RadonMeasure:
             if t.ndim:
                 return self.table.inv_cdf(t)
         return self.table.inv_cdf_one(float(t))
-
-    def density(self, x):
-        if self.kind == "lebesgue":
-            return self._wrap(x, np.ones_like)
-        if self.kind == "power":
-            a = self.a
-            with np.errstate(divide="ignore"):
-                return self._wrap(x, lambda v: np.abs(v) ** -a)
-        return self._wrap(x, self.table.density)
 
     def mass(self, interval: IntervalRC) -> float:
         return self.cdf(interval.b) - self.cdf(interval.a)

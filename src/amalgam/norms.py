@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .functions import RealFunction
-from .measure import (IntervalRC, RadonMeasure, _cuts, _ladder, gk_panels,
-                      integrate)
+from .measure import (IntervalRC, RadonMeasure, _cuts, _ladder, _ladder_ends,
+                      gk_panels, integrate)
 
 __all__ = [
     "Exponent",
@@ -113,7 +113,7 @@ class LqTable:
         if q.is_inf:
             raise ValueError("LqTable requires a finite exponent")
         t_lo, t_hi, sing, brk = _t_layout(m, f)
-        cuts, flags = _cuts(t_lo, t_hi, sing, brk)
+        cuts, _ = _cuts(t_lo, t_hi, sing, brk)
         edges = np.unique(np.concatenate([np.linspace(t_lo, t_hi, cells + 1), cuts]))
         qv = q.value
 
@@ -122,19 +122,17 @@ class LqTable:
                 return np.abs(np.asarray(f(m.inv_cdf(t)), float)) ** qv
 
         vals, _ = gk_panels(phi, edges[:-1], edges[1:])
-        for s in (c for c, singular in zip(cuts, flags) if singular):
-            j = int(np.searchsorted(edges, s))
-            # Redo the (at most two) cells meeting the singular edge.
-            if j > 0:
-                vals[j - 1] = _ladder(phi, s, edges[j - 1], 1e-12)
-            if j < len(edges) - 1:
-                vals[j] = _ladder(phi, s, edges[j + 1], 1e-12)
-        self.m = m
-        self.f = f
+        # Redo the cells meeting a singular edge, in order; a cell singular
+        # at both ends gets two ladders meeting at its middle.
+        singular = np.isin(edges, sing)
+        for j in np.flatnonzero(singular[:-1] | singular[1:]):
+            ends = _ladder_ends(edges[j], edges[j + 1], singular[j], singular[j + 1])
+            vals[j] = _ladder(phi, *ends[0], 1e-12)
+            if len(ends) == 2:
+                vals[j] += _ladder(phi, *ends[1], 1e-12)
         self.q = q
         self.t_edges = edges
         self.cum = np.concatenate([[0.0], np.cumsum(vals)])
-        self.total = float(self.cum[-1])
 
 
 class LqTables:

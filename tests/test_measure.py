@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from amalgam.functions import indicator, power_function, tent
+from amalgam.functions import indicator, power_function, product, tent
 from amalgam.measure import (
     DivergenceError,
     IntervalRC,
@@ -394,6 +394,23 @@ def test_lq_table_matches_reference_ladder(m, q):
             table = LqTable(m, f, Exponent.of(q), cells=cells)
             assert np.array_equal(table.t_edges, edges)
             assert np.array_equal(table.cum, cum)
+
+
+def test_lq_table_cell_between_two_singular_cuts():
+    # The cell [0, 1e-6] has a pole at each end.  Each end gets its own
+    # ladder, meeting at the middle, as in _interval_integrals; a ladder
+    # over the whole cell from one end would leave the other pole ungraded
+    # (0.81% low).
+    def poles(x):
+        with np.errstate(divide="ignore"):
+            return np.abs(x) ** -0.5 + np.abs(x - 1e-6) ** -0.5
+
+    f = product(indicator(-1.0, 1.0), poles, label="two_poles",
+                extra_singularities=(0.0, 1e-6))
+    table = LqTable(lebesgue(), f, Exponent.of(1))
+    j = int(np.searchsorted(table.t_edges, 0.0))
+    assert table.t_edges[j:j + 2].tolist() == [0.0, 1e-6]
+    assert abs(table.cum[j + 1] - table.cum[j] - 4.0 * np.sqrt(1e-6)) <= 1e-9
 
 
 @pytest.mark.parametrize("expo", [-1.2, -0.978])
