@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -486,7 +487,18 @@ COVERING_BLOCK = {"target": "covering_trials", "measure": {"kind": "lebesgue"},
     ({"trials": 1.5}, r"options\.trials must be an int >= 1"),
     ({"trials": True}, r"options\.trials must be an int >= 1"),
     ({"bogus": 1}, r"unknown option\(s\) \['bogus'\]"),
+    # The removed options fail as unknown whatever their value: the values
+    # their range checks used to reject reach no leftover check first.
     ({"count": 40}, r"unknown option\(s\) \['count'\]"),
+    ({"count": 0}, r"unknown option\(s\) \['count'\]"),
+    ({"count": "40"}, r"unknown option\(s\) \['count'\]"),
+    ({"mass_range": [0, 1]}, r"unknown option\(s\) \['mass_range'\]"),
+    ({"mass_range": [2, 1]}, r"unknown option\(s\) \['mass_range'\]"),
+    ({"mass_range": [1, math.inf]}, r"unknown option\(s\) \['mass_range'\]"),
+    ({"mass_range": [1]}, r"unknown option\(s\) \['mass_range'\]"),
+    ({"mass_range": [1e-300, 1e-300]}, r"unknown option\(s\) \['mass_range'\]"),
+    ({"center_range": [1, 1]}, r"unknown option\(s\) \['center_range'\]"),
+    ({"center_range": [2, "x"]}, r"unknown option\(s\) \['center_range'\]"),
     ({"mass_range": [0.5, 2], "center_range": [-4, 4]},
      r"unknown option\(s\) \['center_range', 'mass_range'\]"),
 ])
