@@ -20,10 +20,12 @@ side only or differs in its bytes (`report.json`, `report.csv` and
 
 Then it runs a fixed list of CLI queries in each tree (QUERIES: the
 README's CLI examples, its `verify` without `--out`, `cover --random
-200` at seeds 0, 7 and 61 on Lebesgue and a power measure, two more
-`weight` queries, and `maximal` at beta = 2 and inf and `norm` at p = 2
-and inf of tents on Lebesgue and a power measure) and prints one summary
-line, then every query whose stdout or exit code differs.
+200` at seeds 0, 7 and 61 on Lebesgue and a power measure, four more
+`weight` queries (one at r = 1, the essential-sup branch), a `potential`
+at tol 1e-12, and `maximal` at beta = 2 and inf and `norm` at p = 2 and
+inf of tents on Lebesgue and a power measure) and prints one summary
+line, then every query whose stdout or exit code differs.  Together
+they reach every caller of the G-K bisection driver (measure._bisect).
 
 Exits 1 on any byte difference in a report or a query's stdout, 2 if a
 sweep could not run, else 0.
@@ -74,6 +76,12 @@ QUERIES = [
                       ("power:0.5", "7"), ("power:0.5", "61")]],
     ["weight", "--measure", "power:0.5", "--weight", "power:0.25", "--r", "2"],
     ["weight", "--measure", "power:0.264", "--weight", "power:-0.2", "--r", "3"],
+    # the ess-sup branch (r = 1), a dual weight on Lebesgue, and a potential
+    # whose plain segments bisect for many rounds
+    ["weight", "--measure", "power:0.4", "--weight", "power:-0.2", "--r", "1"],
+    ["weight", "--measure", "lebesgue", "--weight", "power:-0.3", "--r", "1.5"],
+    ["potential", "--measure", "power:0.3", "--function", "tent:-1:1.5:2",
+     "--kernel", "riesz:0.5", "--x", "0.7", "--tol", "1e-12"],
     # tents, whose tables are valued by half-segment slices, across 0 and
     # on one side of it
     *[["maximal", "--measure", m, "--function", f, "--q", q, "--beta", beta, "--x", x]

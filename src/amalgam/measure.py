@@ -20,6 +20,21 @@ points and breakpoints (_cuts), the ladder panels (_ladder_edges,
 _segment_runs), its tail and divergence test (_ladder_tail), and the
 snap of an end that F rounds beside a singular point onto it (_snap).
 
+A cell with no singular end that one Gauss-Kronrod pass does not settle
+is bisected in QUADPACK's globally adaptive order (Piessens et al.
+1983: split the panel of largest error estimate until the summed
+estimate meets the tolerance).  One driver, _bisect, does this for
+every caller (the flagged cells of _interval_integrals, the plain
+segments of _integrate_t): all the cells of a call run in lockstep, one
+gk_panels call per round, and each call also makes the next halvings
+toward both ends of every panel it splits, so a cell that bisects toward
+a cusp at its end needs a call per nine splits, not per split.  Its
+values are those of each cell run alone, one split at a time, bit for
+bit: each cell replays the same pops, splits and running sums, and every
+pass is valued as a stacked (K, 1, 15) or (P, 2, 15) product, whose
+rows round as the lone (1, 15) and (2, 15) products do (a flat (2P, 15)
+product does not).
+
 F and F^-1 of one float are computed in Python floats with numpy's
 operation order, on all three kinds of measure; Python's float pow is
 the libm pow that numpy's 0-d ** calls, so the bits are the same as on
@@ -109,6 +124,7 @@ G_WEIGHTS = _wg_full
 
 _MAX_DEPTH = 40
 _MAX_PANELS = 20000
+_PREFETCH = 8      # halvings made ahead toward each end of a split panel
 _LADDER_SCALES = 2.0 ** -np.arange(40)     # panel widths over the ladder's span
 
 
@@ -144,11 +160,16 @@ def gk_panels(phi: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray
     return k15, err
 
 
-def _adaptive(phi: Callable, lo: float, hi: float, tol: float) -> float:
-    """Globally adaptive G-K integration of phi over [lo, hi] (smooth case)."""
-    val, err = gk_panels(phi, np.array([lo]), np.array([hi]))
-    heap = [(-float(err[0]), 0, float(lo), float(hi), float(val[0]), float(err[0]))]
-    total, total_err = float(val[0]), float(err[0])
+def _bisection(lo: float, hi: float, tol: float):
+    """Globally adaptive G-K bisection of one cell [lo, hi] in QUADPACK's
+    order (split the panel of largest error estimate), as a coroutine of
+    _bisect.  It yields each G-K pass it needs as (a, b, depth): the
+    whole cell first (depth None), then the two halves of each panel
+    [a, b] it splits.  It is sent back their values and error estimates,
+    and returns the integral or raises QuadratureError."""
+    (val,), (err,) = yield lo, hi, None
+    heap = [(-err, 0, lo, hi, val, err)]
+    total, total_err = val, err
     stuck_err = 0.0   # error frozen in depth-exhausted panels
     count = 1
     while True:
@@ -170,12 +191,135 @@ def _adaptive(phi: Callable, lo: float, hi: float, tol: float) -> float:
                     estimate=total, error_bound=total_err)
             continue
         mid = 0.5 * (a + b)
-        val2, err2 = gk_panels(phi, np.array([a, mid]), np.array([mid, b]))
-        total += float(val2[0] + val2[1]) - v
-        total_err += float(err2[0] + err2[1]) - e
-        heapq.heappush(heap, (-float(err2[0]), depth + 1, a, mid, float(val2[0]), float(err2[0])))
-        heapq.heappush(heap, (-float(err2[1]), depth + 1, mid, b, float(val2[1]), float(err2[1])))
+        (v0, v1), (e0, e1) = yield a, b, depth
+        total += (v0 + v1) - v
+        total_err += (e0 + e1) - e
+        heapq.heappush(heap, (-e0, depth + 1, a, mid, v0, e0))
+        heapq.heappush(heap, (-e1, depth + 1, mid, b, v1, e1))
         count += 2
+
+
+def _halvings(a: float, b: float, depth: int) -> list:
+    """The panel (a, b) and the first _PREFETCH halvings of it toward each
+    of its ends (fewer near _MAX_DEPTH): the panels that a bisection
+    toward an end of (a, b) splits next."""
+    keys = [(a, b)]
+    left = right = 0.5 * (a + b)
+    for _ in range(min(_PREFETCH, _MAX_DEPTH - 1 - depth)):
+        keys += [(a, left), (right, b)]
+        left, right = 0.5 * (a + left), 0.5 * (right + b)
+    return keys
+
+
+def _pass_edges(keys: list, split: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of one G-K pass per panel (a, b) of keys, shaped (n, 1),
+    or of passes over its two halves, shaped (n, 2)."""
+    ab = np.array(keys, float).reshape(-1, 2)
+    a, b = ab[:, :1], ab[:, 1:]
+    if not split:
+        return a, b
+    mid = 0.5 * (a + b)
+    return np.hstack([a, mid]), np.hstack([mid, b])
+
+
+def _guarded_panels(phi: Callable, lo: np.ndarray, hi: np.ndarray):
+    """gk_panels(phi, lo, hi) as lists, or None if it raised or if a
+    floating-point error in it would have warned or raised."""
+    watch = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
+    hits = []
+    try:
+        with np.errstate(call=lambda kind, flag: hits.append(kind), **watch):
+            vals, err = gk_panels(phi, lo, hi)
+    except Exception:     # any exception: the redo raises it again
+        return None
+    return None if hits else (vals.tolist(), err.tolist())
+
+
+def _bisect(phi: Callable, lo, hi, tol: float, halt: bool = False) -> list:
+    """Globally adaptive G-K integrals of phi over the cells [lo[i], hi[i]].
+
+    Every cell runs _bisection, and the cells run in lockstep: each
+    round, each cell runs until it needs a pass that is not known yet,
+    and one gk_panels call makes all of them.  The first passes of K
+    cells are one (K, 1, 15) product and the halves of P split panels
+    one (P, 2, 15) product, so every value has the bits of the lone
+    (1, 15) or (2, 15) product of a cell run by itself (a flat
+    (2P, 15) product rounds apart).  Split panels are cached by their
+    ends, and each call also makes the halvings of every panel it
+    splits toward both of its ends (_halvings), so a cell that bisects
+    toward a cusp at one of its ends makes _PREFETCH + 1 splits per
+    call.
+
+    A call that raises, or in which a floating-point error would warn
+    or raise, is redone one cell at a time in cell order without the
+    prefetched panels, so every warning and exception is one that the
+    cells give when run one after another.  A cell whose pass raises
+    stops the loop there, as in such a run: the later cells are
+    dropped, the earlier ones run on, and the exception of the first
+    cell that stopped is raised at the end.  With halt, a
+    QuadratureError stops the loop in the same way; without it, it is
+    returned in the cell's place.
+    """
+    cells = [_bisection(float(a), float(b), tol) for a, b in zip(lo, hi)]
+    out = [None] * len(cells)
+    wants = {i: next(cell) for i, cell in enumerate(cells)}
+    cache = {}
+    stopped = None
+
+    def stop(i, exc):
+        nonlocal stopped
+        stopped = exc     # the cells after i are dropped: a later stop is earlier
+        for j in [j for j in wants if j >= i]:
+            del wants[j]
+
+    def run(i, reply):
+        """Send reply to cell i and run it on cached passes until it
+        needs a new pass or ends."""
+        try:
+            want = cells[i].send(reply)
+            while want[:2] in cache:
+                want = cells[i].send(cache[want[:2]])
+        except StopIteration as done:
+            out[i] = done.value
+        except QuadratureError as exc:
+            out[i] = exc
+            if halt:
+                stop(i, exc)
+                return
+        else:
+            wants[i] = want
+            return
+        del wants[i]
+
+    split = False     # the first round makes the first passes
+    while wants:
+        keys = [w[:2] for w in wants.values()]
+        if split:
+            keys = list(dict.fromkeys(key for a, b, depth in wants.values()
+                                      for key in _halvings(a, b, depth)
+                                      if key not in cache))
+        # A call of one pass makes what a lone cell makes: no guard.
+        got = _guarded_panels(phi, *_pass_edges(keys, split)) if len(keys) > 1 else None
+        if got is not None:
+            passes = dict(zip(keys, zip(*got)))
+        else:
+            passes = {}
+            for i, (a, b, _) in list(wants.items()):
+                try:
+                    vals, err = gk_panels(phi, *_pass_edges([(a, b)], split))
+                except Exception as exc:
+                    stop(i, exc)
+                    break
+                passes[a, b] = (vals.tolist()[0], err.tolist()[0])
+        if split:
+            cache.update(passes)
+        for i in list(wants):
+            if i in wants:
+                run(i, passes[wants[i][:2]])
+        split = True
+    if stopped is not None:
+        raise stopped
+    return out
 
 
 def _ladder_edges(t_sing, t_far):
@@ -288,12 +432,26 @@ def _integrate_t(phi: Callable, t_lo: float, t_hi: float, tol: float,
     if t_hi <= t_lo:
         return 0.0
     cuts, sing = _cuts(t_lo, t_hi, singular_ts, break_ts)
+    segments = list(zip(cuts[:-1], cuts[1:], sing[:-1], sing[1:]))
+    # The ladders run first, then the plain segments before the first
+    # ladder that raised, so the failure raised is the first in cut order.
+    ladders, failed = [], None
+    for a, b, sa, sb in segments:
+        try:
+            ladders.append([_ladder(phi, s, far, tol)
+                            for s, far in _ladder_ends(a, b, sa, sb)])
+        except Exception as exc:
+            failed = exc
+            break
+    plain = [(a, b) for (a, b, sa, sb), _ in zip(segments, ladders) if not (sa or sb)]
+    sums = iter(_bisect(phi, [a for a, _ in plain], [b for _, b in plain], tol,
+                        halt=True))
+    if failed is not None:
+        raise failed
     total = 0.0
-    for a, b, sa, sb in zip(cuts[:-1], cuts[1:], sing[:-1], sing[1:]):
-        if not (sa or sb):
-            total += _adaptive(phi, a, b, tol)
-        for s, far in _ladder_ends(a, b, sa, sb):
-            total += _ladder(phi, s, far, tol)
+    for parts in ladders:
+        for value in parts or [next(sums)]:    # a plain segment has no ladder
+            total += value
     return total
 
 
@@ -670,11 +828,13 @@ def _interval_integrals(m: RadonMeasure, g, t_a: np.ndarray,
 
     The cell edges are every interval end plus the singular points and
     breakpoints of g (_cuts).  One Gauss-Kronrod pass covers all cells;
-    cells touching a singular point are redone by the ladder, and any
-    other cell whose error estimate exceeds tol times its value by
-    _adaptive.  Each interval is the sum of its cells.  A cell whose
-    ladder diverges or whose adaptive pass stalls is +inf, and so is
-    every interval containing it; the others stay finite.
+    cells touching a singular point are redone by the ladder, and the
+    other cells whose error estimate exceeds tol times their value are
+    bisected together by _bisect, in lockstep, with the bits of one cell
+    at a time (stacked products, each cell's order replayed).  Each
+    interval is the sum of its cells.  A cell whose ladder diverges or
+    whose bisection stalls is +inf, and so is every interval containing
+    it; the others stay finite.
     """
     tol = 1e-12   # per cell relative, so per interval for g >= 0
     t_a, t_b = np.asarray(t_a, float), np.asarray(t_b, float)
@@ -693,15 +853,25 @@ def _interval_integrals(m: RadonMeasure, g, t_a: np.ndarray,
             return np.asarray(g(m.inv_cdf(t)), float)
 
     vals, err = gk_panels(phi, lo, hi)
+    # The ladders run first, then the plain cells before the first ladder
+    # that raised, so the exception raised is the first in cell order.
+    plain, failed = [], None
     for i in np.flatnonzero(sing_lo | sing_hi | (err > tol * np.abs(vals))):
+        if not (sing_lo[i] or sing_hi[i]):
+            plain.append(i)
+            continue
         try:
-            if sing_lo[i] or sing_hi[i]:
-                vals[i] = sum(_ladder(phi, s, far, tol) for s, far in
-                              _ladder_ends(lo[i], hi[i], sing_lo[i], sing_hi[i]))
-            else:
-                vals[i] = _adaptive(phi, lo[i], hi[i], tol)
+            vals[i] = sum(_ladder(phi, s, far, tol) for s, far in
+                          _ladder_ends(lo[i], hi[i], sing_lo[i], sing_hi[i]))
         except QuadratureError:   # DivergenceError included
             vals[i] = np.inf
+        except Exception as exc:
+            failed = exc
+            break
+    for i, val in zip(plain, _bisect(phi, lo[plain], hi[plain], tol)):
+        vals[i] = np.inf if isinstance(val, QuadratureError) else val
+    if failed is not None:
+        raise failed
     # Each interval sums its own cells rather than differencing a running
     # total: a difference of prefix sums loses the relative accuracy of a
     # small interval that lies beyond large cells.

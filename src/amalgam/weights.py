@@ -124,8 +124,9 @@ def default_interval_family(m: RadonMeasure, span_mass: float = 32.0,
     fam: list[IntervalRC] = []
     half = span_mass / 2.0
     t0 = m.cdf(x0)
-    t_centers = t0 + np.linspace(-half, half, centers)
-    masses = span_mass / 2.0 ** np.arange(scales)
+    # Python floats: their arithmetic is cheaper than numpy scalars'.
+    t_centers = (t0 + np.linspace(-half, half, centers)).tolist()
+    masses = (span_mass / 2.0 ** np.arange(scales)).tolist()
     for tc in t_centers:
         for mass in masses:
             a = m.inv_cdf(tc - mass / 2.0)
@@ -134,10 +135,12 @@ def default_interval_family(m: RadonMeasure, span_mass: float = 32.0,
     lo_edge = m.inv_cdf(t0 - half)
     hi_edge = m.inv_cdf(t0 + half)
     part = partition(m, x0, 1.0, IntervalRC(float(lo_edge), float(hi_edge)))
-    edges = part.breakpoints
+    edges = part.breakpoints.tolist()
+    t_edges = [m.cdf(x) for x in edges]     # F once per edge, as make_interval takes it
     for width in (1, 2, 4, 8):
         for i in range(0, len(edges) - width):
-            fam.append(make_interval(m, float(edges[i]), float(edges[i + width])))
+            fam.append(IntervalRC(edges[i], edges[i + width],
+                                  mass=t_edges[i + width] - t_edges[i]))
     return fam
 
 

@@ -1,5 +1,6 @@
 """Measure construction, quadrature, partitions, growth constants."""
 
+import heapq
 import warnings
 
 import numpy as np
@@ -10,8 +11,13 @@ import hypothesis.strategies as st
 from amalgam.functions import indicator, power_function, product, tent
 from amalgam.measure import (
     DivergenceError,
+    EvaluationError,
     IntervalRC,
-    _adaptive,
+    QuadratureError,
+    _MAX_DEPTH,
+    _MAX_PANELS,
+    _bisect,
+    _interval_integrals,
     _ladder_tail,
     custom_measure,
     gk_panels,
@@ -229,8 +235,43 @@ def test_round_trip_property(t):
 #
 # _ref_ladder and _ref_integrate_t are the ladder and the cut loop as they
 # were written before the ladder, its tail and the cut layout became shared
-# helpers (less the error estimates, which no caller read).  integrate,
-# potential and LqTable must give exactly their values.
+# helpers (less the error estimates, which no caller read), and
+# _ref_adaptive is the one-cell bisection that the lockstep _bisect
+# replaced.  integrate, potential and LqTable must give exactly their
+# values.
+
+
+def _ref_adaptive(phi, lo, hi, tol):
+    """Globally adaptive G-K integration of phi over [lo, hi], one cell
+    and one (2, 15) pass at a time: the driver that _bisect replays."""
+    val, err = gk_panels(phi, np.array([lo]), np.array([hi]))
+    heap = [(-float(err[0]), 0, float(lo), float(hi), float(val[0]), float(err[0]))]
+    total, total_err = float(val[0]), float(err[0])
+    stuck_err = 0.0   # error frozen in depth-exhausted panels
+    count = 1
+    while True:
+        target = tol * max(abs(total), 1e-14)
+        if total_err <= target:
+            return total
+        if not heap or count >= _MAX_PANELS:
+            raise QuadratureError(
+                "quadrature stalled before reaching tolerance",
+                estimate=total, error_bound=total_err)
+        _, depth, a, b, v, e = heapq.heappop(heap)
+        if depth >= _MAX_DEPTH:
+            stuck_err += e
+            if stuck_err > tol * max(abs(total), 1e-14):
+                raise QuadratureError(
+                    "max halving depth reached before tolerance",
+                    estimate=total, error_bound=total_err)
+            continue
+        mid = 0.5 * (a + b)
+        val2, err2 = gk_panels(phi, np.array([a, mid]), np.array([mid, b]))
+        total += float(val2[0] + val2[1]) - v
+        total_err += float(err2[0] + err2[1]) - e
+        heapq.heappush(heap, (-float(err2[0]), depth + 1, a, mid, float(val2[0]), float(err2[0])))
+        heapq.heappush(heap, (-float(err2[1]), depth + 1, mid, b, float(val2[1]), float(err2[1])))
+        count += 2
 
 
 def _ref_ladder(phi, t_sing, t_far, tol):
@@ -277,7 +318,7 @@ def _ref_integrate_t(phi, t_lo, t_hi, tol, singular_ts=(), break_ts=()):
             s, f = (a, b) if a_sing else (b, a)
             total += _ref_ladder(phi, s, f, tol)
         else:
-            total += _adaptive(phi, a, b, tol)
+            total += _ref_adaptive(phi, a, b, tol)
     return total
 
 
@@ -474,6 +515,218 @@ def test_overflowing_ladder_diverges_on_every_route():
             with pytest.raises(DivergenceError) as got:
                 route()
             assert not np.all(np.isfinite(got.value.partial_sums))
+
+
+# --- The lockstep bisection against _ref_adaptive, one cell at a time
+
+
+def _cusp(c, s):
+    def phi(t):
+        with np.errstate(divide="ignore"):
+            return np.abs(t - s) ** c
+    return phi
+
+
+def _jump(t):
+    return np.where(t < 1.0 / 3.0, -2.0, 1.0)     # integral 0 over [0, 1]
+
+
+BISECT_CELLS = [
+    # smooth
+    (np.cos, -2.0, 3.0), (np.exp, 0.0, 5.0), (lambda t: 1.0 / (1.0 + t * t), -10.0, 10.0),
+    (lambda t: np.sin(20.0 * t) + 1.5, 0.0, 3.0),
+    # a cusp |t - s|^c at the left or the right end
+    *[cell for c in (-0.95, -0.7, -0.4, -0.1, 0.12, 0.35, 0.8, 1.5, 2.5)
+      for cell in ((_cusp(c, 0.0), 0.0, 1.0), (_cusp(c, 0.0), -1.3, 0.0),
+                   (_cusp(c, 0.7), 0.7, 2.0), (_cusp(c, 0.7), -0.5, 0.7))],
+    # a jump and a pole: the panel holding it freezes at _MAX_DEPTH
+    (_jump, 0.0, 1.0), (_cusp(-1.5, 1.0 / 3.0), 0.0, 1.0),
+]
+
+
+def _outcome(run):
+    """run()'s value, or the QuadratureError it raised."""
+    try:
+        return run()
+    except QuadratureError as exc:
+        return exc
+
+
+def _assert_same(got, want):
+    if isinstance(want, QuadratureError):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert _bits(got.estimate) == _bits(want.estimate)
+        assert _bits(got.error_bound) == _bits(want.error_bound)
+    else:
+        assert not isinstance(got, Exception) and _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_bisect_matches_reference_cell_by_cell(tol):
+    for phi, lo, hi in BISECT_CELLS:
+        want = _outcome(lambda: _ref_adaptive(phi, lo, hi, tol))
+        _assert_same(_bisect(phi, [lo], [hi], tol)[0], want)
+        if isinstance(want, QuadratureError):
+            with pytest.raises(QuadratureError) as got:
+                _bisect(phi, [lo], [hi], tol, halt=True)
+            _assert_same(got.value, want)
+    # the depth freeze path is reached
+    assert "max halving depth" in str(_outcome(lambda: _ref_adaptive(_jump, 0.0, 1.0, tol)))
+
+
+def _mixed(t):
+    # a cusp at 0 seen from both sides, smooth cells, and a pole at 7/3
+    with np.errstate(divide="ignore"):
+        return np.abs(t) ** -0.4 + np.cos(t) + np.abs(t - 7.0 / 3.0) ** -1.5
+
+
+MIXED_EDGES = [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_bisect_runs_cells_of_mixed_depth_in_one_call(tol):
+    lo, hi = MIXED_EDGES[:-1], MIXED_EDGES[1:]
+    want = [_outcome(lambda: _ref_adaptive(_mixed, a, b, tol)) for a, b in zip(lo, hi)]
+    assert isinstance(want[3], QuadratureError)     # the pole's cell
+    for got, ref in zip(_bisect(_mixed, lo, hi, tol), want):
+        _assert_same(got, ref)
+    # with halt the first failure in cell order stops the loop
+    with pytest.raises(QuadratureError) as got:
+        _bisect(_mixed, lo, hi, tol, halt=True)
+    _assert_same(got.value, next(w for w in want if isinstance(w, QuadratureError)))
+    # integrate raises it too, as the one-cell loop over the cuts did
+    m, iv = lebesgue(), IntervalRC(-1.0, 4.0)
+    with pytest.raises(QuadratureError) as got:
+        integrate(m, _mixed, iv, tol=tol, singularities=(), breakpoints=MIXED_EDGES[1:-1])
+    with pytest.raises(QuadratureError) as ref:
+        _ref_integrate(m, _mixed, iv, tol, (), MIXED_EDGES[1:-1])
+    _assert_same(got.value, ref.value)
+
+
+def test_bisect_raises_the_first_failure_in_cut_order():
+    # A plain segment that freezes (a pole at 1/3, undeclared) and a
+    # ladder that diverges (at 2), in either order: the one first in cut
+    # order is raised.
+    def g(x):
+        with np.errstate(divide="ignore"):
+            return np.abs(x - 1.0 / 3.0) ** -1.5 + np.abs(x - 2.0) ** -1.2
+
+    m = lebesgue()
+    for iv, sing, brk in [(IntervalRC(0.0, 2.0), (2.0,), (1.0,)),
+                          (IntervalRC(-2.0, 1.0), (2.0,), ()),
+                          (IntervalRC(2.0, 2.5), (2.0,), ())]:
+        with pytest.raises(QuadratureError) as got:
+            integrate(m, g, iv, tol=1e-12, singularities=sing, breakpoints=brk)
+        with pytest.raises(QuadratureError) as want:
+            _ref_integrate(m, g, iv, 1e-12, sing, brk)
+        _assert_same(got.value, want.value)
+    def h(x):    # the diverging ladder first, then the pole's segment
+        return g(4.0 - x)
+
+    with pytest.raises(DivergenceError) as got:
+        integrate(m, h, IntervalRC(2.0, 4.0), tol=1e-12, singularities=(2.0,),
+                  breakpoints=(3.0,))
+    with pytest.raises(DivergenceError) as want:
+        _ref_integrate(m, h, IntervalRC(2.0, 4.0), 1e-12, (2.0,), (3.0,))
+    assert np.array_equal(got.value.partial_sums, want.value.partial_sums)
+
+
+def _noise(t):
+    return np.sin(1e8 * t) + 2.0
+
+
+def test_bisect_stall_matches_reference():
+    # Noise never meets the tolerance: the bisection stops at _MAX_PANELS.
+    want = _outcome(lambda: _ref_adaptive(_noise, 0.0, 1.0, 1e-12))
+    assert "stalled" in str(want)
+    _assert_same(_bisect(_noise, [0.0], [1.0], 1e-12)[0], want)
+    m, iv = lebesgue(), IntervalRC(0.0, 1.0)
+    with pytest.raises(QuadratureError) as got:
+        integrate(m, _noise, iv, tol=1e-12)
+    with pytest.raises(QuadratureError) as ref:
+        _ref_integrate(m, _noise, iv, 1e-12)
+    _assert_same(got.value, ref.value)
+    assert _interval_integrals(m, _noise, np.array([0.0]), np.array([1.0])).tolist() == [np.inf]
+
+
+def _nan_near_ends(t):
+    # NaN within 1e-7 of 0 and within 1e-4 of 2; cusps at both
+    with np.errstate(divide="ignore"):
+        v = np.abs(t) ** -0.5 + np.abs(2.0 - t) ** -0.5
+    return np.where((t < 1e-7) | (t > 2.0 - 1e-4), np.nan, v)
+
+
+def test_bisect_nan_raises_where_the_reference_does():
+    # The second cell meets its NaN rounds before the first does, and
+    # the prefetched halvings meet the first cell's early; the cells run
+    # one after another raise at the first cell's NaN.
+    with pytest.raises(EvaluationError) as want:
+        _ref_adaptive(_nan_near_ends, 0.0, 1.0, 1e-12)
+    with pytest.raises(EvaluationError) as other:
+        _ref_adaptive(_nan_near_ends, 1.0, 2.0, 1e-12)
+    assert want.value.location != other.value.location
+    routes = [
+        lambda: _bisect(_nan_near_ends, [0.0, 1.0], [1.0, 2.0], 1e-12),
+        lambda: _bisect(_nan_near_ends, [0.0, 1.0], [1.0, 2.0], 1e-12, halt=True),
+        lambda: _interval_integrals(lebesgue(), _nan_near_ends, np.array([0.0, 1.0]),
+                                    np.array([1.0, 2.0])),
+        lambda: integrate(lebesgue(), _nan_near_ends, IntervalRC(0.0, 2.0), tol=1e-12,
+                          singularities=(), breakpoints=(1.0,)),
+    ]
+    for route in routes:
+        with pytest.raises(EvaluationError) as got:
+            route()
+        assert got.value.location == want.value.location
+        assert str(got.value) == str(want.value)
+    with pytest.raises(EvaluationError) as got:
+        _bisect(_nan_near_ends, [1.0, 0.0], [2.0, 1.0], 1e-12)
+    assert got.value.location == other.value.location
+
+
+def _deepest(run):
+    """run(phi) with phi |t|^0.35 recording its nodes; the smallest |t|."""
+    nodes = []
+
+    def phi(t):
+        nodes.append(np.abs(t).min())
+        return np.abs(t) ** 0.35
+
+    run(phi)
+    return min(nodes)
+
+
+def test_bisect_warns_only_where_the_reference_does():
+    # The prefetched halvings reach nodes nearer the cusp than the
+    # reference evaluates; a warning there (an error under this suite's
+    # filter) redoes that call without them, and nothing is raised.
+    ref_min = _deepest(lambda phi: _ref_adaptive(phi, 0.0, 1.0, 1e-8))
+    new_min = _deepest(lambda phi: _bisect(phi, [0.0], [1.0], 1e-8))
+    assert new_min < ref_min
+
+    def warning_below(thr):
+        def phi(t):
+            flag = np.divide(1.0, np.where(t < thr, 0.0, 1.0))    # warns below thr
+            return np.abs(t) ** 0.35 * np.minimum(flag, 1.0)
+        return phi
+
+    quiet = warning_below(np.sqrt(ref_min * new_min))
+    want = _ref_adaptive(quiet, 0.0, 1.0, 1e-8)
+    assert _bits(_bisect(quiet, [0.0], [1.0], 1e-8)[0]) == _bits(want)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert _bits(_bisect(quiet, [0.0], [1.0], 1e-8)[0]) == _bits(want)
+    assert seen == []
+    loud = warning_below(2.0 * ref_min)
+    for run in (lambda: _ref_adaptive(loud, 0.0, 1.0, 1e-8),
+                lambda: _bisect(loud, [0.0], [1.0], 1e-8)):
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            run()
+    with np.errstate(divide="raise"):
+        for run in (lambda: _ref_adaptive(loud, 0.0, 1.0, 1e-8),
+                    lambda: _bisect(loud, [0.0], [1.0], 1e-8)):
+            with pytest.raises(FloatingPointError):
+                run()
+        assert _bisect(quiet, [0.0], [1.0], 1e-8)[0] == _ref_adaptive(quiet, 0.0, 1.0, 1e-8)
 
 
 # --- F and F^-1 of one float: the scalar path against numpy's 0-d path,

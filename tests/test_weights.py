@@ -10,11 +10,13 @@ from amalgam import measure
 from amalgam.functions import power_function, scaled, table_function
 from amalgam.measure import (IntervalRC, QuadratureError, _interval_integrals,
                              custom_measure, gk_panels, integrate, lebesgue,
-                             make_interval, power_measure)
+                             make_interval, partition, power_measure)
 from amalgam.weights import (
     SubsetSampler,
+    _averages,
     _ess_sups,
     _scan,
+    _t_ends,
     a_infty_epsilon_delta,
     a_r_constant,
     default_interval_family,
@@ -435,6 +437,62 @@ def test_a_r_constant_integrates_each_cell_once(monkeypatch):
     res = a_r_constant(LEB, make_weight({"kind": "power", "b": 0.2}), 2)
     assert res.interval_count == len(default_interval_family(LEB))
     assert 0 < len(calls) <= 200
+
+
+def test_averages_over_a_cusp_take_few_gk_calls(monkeypatch):
+    # The cells beside F(0) bisect toward the cusp of |x|^0.12 for about
+    # 30 rounds each; run in lockstep with prefetched halvings they take
+    # a handful of gk_panels calls (65 one cell and one split at a time).
+    m = power_measure(0.35)
+    t_a, t_b = _t_ends(m, default_interval_family(m))
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return gk_panels(*args)
+
+    monkeypatch.setattr(measure, "gk_panels", counting)
+    got = _averages(m, make_weight({"kind": "power", "b": 0.12}).fn, t_a, t_b)
+    assert np.isfinite(got).all()
+    assert len(calls) <= 10
+
+
+def _ref_default_interval_family(m, span_mass=32.0, centers=32, scales=8, x0=0.0):
+    """default_interval_family as it was written over numpy floats, with
+    F taken at both ends of every union of partition blocks."""
+    fam = []
+    half = span_mass / 2.0
+    t0 = m.cdf(x0)
+    for tc in t0 + np.linspace(-half, half, centers):
+        for mass in span_mass / 2.0 ** np.arange(scales):
+            a = m.inv_cdf(tc - mass / 2.0)
+            b = m.inv_cdf(tc + mass / 2.0)
+            fam.append(make_interval(m, float(a), float(b)))
+    lo_edge = m.inv_cdf(t0 - half)
+    hi_edge = m.inv_cdf(t0 + half)
+    edges = partition(m, x0, 1.0, IntervalRC(float(lo_edge), float(hi_edge))).breakpoints
+    for width in (1, 2, 4, 8):
+        for i in range(0, len(edges) - width):
+            fam.append(make_interval(m, float(edges[i]), float(edges[i + width])))
+    return fam
+
+
+FAMILY_MEASURES = [LEB, power_measure(0.3), power_measure(0.5),
+                   custom_measure([[-2, 0.5], [-1, 1], [0, 2], [1, 1], [2, 0.5]], 0.5, 0.5),
+                   custom_measure([[-2, 1e-2], [-0.301, 1e-2], [-0.3, 1], [0.3, 1],
+                                   [0.301, 1e-2], [2, 1e-2]], 0.5, 0.5)]
+
+
+@pytest.mark.parametrize("m", FAMILY_MEASURES)
+@pytest.mark.parametrize("kwargs", [{}, {"span_mass": 8.0, "centers": 5, "scales": 3},
+                                    {"x0": 0.7}, {"span_mass": 64.0, "x0": -1.3}])
+def test_default_interval_family_matches_reference_bits(m, kwargs):
+    got, want = default_interval_family(m, **kwargs), _ref_default_interval_family(m, **kwargs)
+    assert len(got) == len(want)
+    for I, J in zip(got, want):
+        for x, y in ((I.a, J.a), (I.b, J.b), (I.mass, J.mass)):
+            assert type(x) is type(y)
+            assert np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
 def _loop_scan(family, values):
