@@ -18,8 +18,7 @@ from .norms import (Exponent, LqTable, TrivialSpaceError, amalgam_norm,
                     weak_norm)
 from .operators import (Kernel, farfield_bound_check, make_kernel, maximal,
                         maximal_profile, potential, potential_profile,
-                        riesz_kernel, riesz_potential, riesz_via_power_measure,
-                        table_kernel)
+                        riesz_kernel, table_kernel)
 from .weights import (SubsetSampler, Weight, WeightConditionResult,
                       a_infty_epsilon_delta, a_r_constant,
                       default_interval_family, make_weight,
@@ -27,8 +26,7 @@ from .weights import (SubsetSampler, Weight, WeightConditionResult,
 from .covering import (MidpointedFamily, Trials, make_family, midpoint,
                        random_family, select_cover)
 from .harness import (ConfigError, HypothesisRejected, NumericalFailure,
-                      Scenario, VerificationReport, default_family,
-                      load_scenario, parse_scenario, run_scenario,
+                      Scenario, VerificationReport, load_scenario, parse_scenario, run_scenario,
                       sample_grid, verify_scenario, write_report)
 
 

@@ -30,9 +30,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .covering import random_family, select_cover
-from .functions import (RealFunction, indicator, make_function, power_function,
-                        power_twist, product, riesz_kernel_function, scaled,
-                        tent)
+from .functions import (RealFunction, make_function, power_twist, product,
+                        scaled)
 from .measure import (DivergenceError, QuadratureError, _interval_integrals,
                       growth_constant, lebesgue, make_interval, make_measure,
                       RadonMeasure)
@@ -45,9 +44,19 @@ from .weights import (SubsetSampler, Weight, a_infty_epsilon_delta,
 
 TOOL_VERSION = "0.1.0"
 
-TARGETS = ("thm21_part1", "thm21_part2", "cor23", "cor24", "thm31_goodlambda",
-           "lem32", "lem33", "prop34", "cor35", "cor36", "prop41", "steinweiss",
-           "norm_properties", "covering_trials")
+# The exponents each target reads; eta is optional for prop41 and
+# steinweiss, which check it against the value they derive.
+_THM21 = ("q", "alpha", "beta", "q1", "alpha1", "p1")
+_PROP41 = ("a", "gamma", "alpha", "eta")
+TARGET_EXPONENTS = {
+    "thm21_part1": _THM21, "thm21_part2": _THM21,
+    "cor23": ("q", "alpha", "beta", "p"), "cor24": ("q", "alpha", "beta"),
+    "thm31_goodlambda": ("q", "alpha", "beta"), "lem32": ("q", "beta"),
+    "lem33": ("q", "beta"), "prop34": _THM21,
+    "cor35": ("q", "alpha", "beta", "p"), "cor36": ("alpha", "beta"),
+    "prop41": _PROP41 + ("q", "p"), "steinweiss": _PROP41,
+    "norm_properties": ("q", "p", "alpha"), "covering_trials": ()}
+TARGETS = tuple(TARGET_EXPONENTS)
 
 DEFAULT_SAMPLES = 4096
 DEFAULT_WINDOW_MASS = 8.0
@@ -64,6 +73,12 @@ IDENTITY_TOL = 1e-3
 COVER_COUNT = 40
 COVER_MASSES = (0.5, 2.0)
 COVER_CENTRES = (-4.0, 4.0)
+
+# lem32: the heights a, as fractions of the potential's top, and the
+# split factors b and c of its level set {Kf > ab, Mf <= ac}.
+LEM32_A_FRACS = (0.3, 0.1)
+LEM32_B_GRID = (2.0, 3.0, 4.0, 6.0)
+LEM32_C_GRID = (0.05, 0.1, 0.2, 0.4, 0.8)
 
 _EPS = 1e-12
 
@@ -142,6 +157,8 @@ def parse_scenario(block: dict, name: str = "scenario") -> Scenario:
              f"field {key!r} must be a spec object")
     exponents = block.get("exponents", {})
     need(isinstance(exponents, dict), "field 'exponents' must be an object")
+    unknown = sorted(set(exponents) - set(TARGET_EXPONENTS[target]))
+    need(not unknown, f"target {target!r} reads no exponent(s) {unknown}")
     samples = block.get("samples", DEFAULT_SAMPLES)
     need(isinstance(samples, int) and samples >= 16,
          "field 'samples' must be an int >= 16")
@@ -152,6 +169,12 @@ def parse_scenario(block: dict, name: str = "scenario") -> Scenario:
     need(isinstance(seed, int), "field 'seed' must be an int")
     options = block.get("options", {})
     need(isinstance(options, dict), "field 'options' must be an object")
+    # Only covering_trials takes an option: trials, the families it draws.
+    unknown = sorted(set(options) - ({"trials"} if target == "covering_trials" else set()))
+    need(not unknown, f"unknown option(s) {unknown}")
+    trials = options.get("trials", 1)
+    need(isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1,
+         "options.trials must be an int >= 1")
     return Scenario(target=target, measure=measure, functions=functions,
                     weight=block.get("weight"), kernel=block.get("kernel"),
                     exponents=exponents, samples=samples,
@@ -218,25 +241,9 @@ def _scenario_kernel(scn: Scenario) -> Kernel:
     return _build(scn, "kernel", make_kernel, scn.kernel)
 
 
-def default_family(alpha: Exponent | None = None) -> list[RealFunction]:
-    """Stock test functions: plateaus, a kink, a tuned blow-up, a spike.
-
-    The negative power is |x|^(-1/alpha') on a window away from zero, so
-    it stresses the large-lambda regime while staying bounded; the spike
-    is a genuinely singular member for the small-lambda end.
-    """
-    fs = [indicator(0.0, 1.0), indicator(-1.0, 1.0), tent(-1.0, 1.0, 1.0)]
-    rec = 0.5 if alpha is None else alpha.recip
-    conj = 1.0 - rec
-    if conj > 0:
-        fs.append(power_function(-conj, (0.05, 2.0)))
-    fs.append(riesz_kernel_function(0.5, (-1.0, 1.0)))
-    return fs
-
-
-def _scenario_functions(scn: Scenario, alpha: Exponent | None = None) -> list[RealFunction]:
+def _scenario_functions(scn: Scenario) -> list[RealFunction]:
     if not scn.functions:
-        return default_family(alpha)
+        raise ConfigError(f"{scn.name}: target {scn.target!r} needs a functions list")
     return [_build(scn, f"functions[{i}]", make_function, spec)
             for i, spec in enumerate(scn.functions)]
 
@@ -468,13 +475,11 @@ class _Eval(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """A gate's output.  probe and finish are lem32's: a homogeneity probe
-    of its own, and a last pass over the rows that may set the verdict."""
+    """A gate's output: the report details, the evaluator, and (lem32's)
+    a last pass over the rows that may set the verdict."""
 
     details: dict
-    family: list
     evaluate: Callable[[RealFunction], _Eval]
-    probe: Callable[[RealFunction, _Eval], bool] | None = None
     finish: Callable[[list], str | None] | None = None
 
 
@@ -517,7 +522,7 @@ def run_scenario(scn: Scenario, grid_scale: int = 1, check_homogeneity: bool = T
         return _covering_trials(scn, grid_scale)
     plan = _GATES[scn.target](scn, grid_scale, LqTables() if tables is None else tables)
     rows, homo = [], True
-    for fi, f in enumerate(plan.family):
+    for fi, f in enumerate(_scenario_functions(scn)):
         ev = plan.evaluate(f)
         for key, val in (ev.extra or {}).items():
             if isinstance(val, dict):
@@ -525,11 +530,8 @@ def run_scenario(scn: Scenario, grid_scale: int = 1, check_homogeneity: bool = T
             else:
                 plan.details[key].extend(val)
         if check_homogeneity and fi == 0 and ev.probe is not None:
-            if plan.probe is not None:
-                homo = plan.probe(f, ev)
-            else:
-                rows2 = plan.evaluate(scaled(f, 2.0)).rows
-                homo = _homog_ok(ev.rows[ev.probe]["ratio"], rows2[ev.probe]["ratio"])
+            rows2 = plan.evaluate(scaled(f, 2.0)).rows
+            homo = _homog_ok(ev.rows[ev.probe]["ratio"], rows2[ev.probe]["ratio"])
         rows += ev.rows
     verdict = plan.finish(rows) if plan.finish is not None else None
 
@@ -578,7 +580,6 @@ def _thm21(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     part2 = scn.target == "thm21_part2"
     q, alpha, beta = _exponent(scn, "q"), _exponent(scn, "alpha"), _exponent(scn, "beta")
     q1, alpha1, p1 = _exponent(scn, "q1"), _exponent(scn, "alpha1"), _exponent(scn, "p1")
-    _require(_le(q.recip, 1.0), f"need q >= 1, got {q.value:g}")
     _require(_le(beta.recip, alpha.recip, q.recip), "need q <= alpha <= beta")
     _require(_le(q1.recip, q.recip), "need q <= q1")
     _require(_le(p1.recip, alpha1.recip, q1.recip), "need q1 <= alpha1 <= p1")
@@ -594,7 +595,6 @@ def _thm21(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     m = _scenario_measure(scn)
     wgt = _scenario_weight(scn)
     cond = _weight_gate(scn, m, wgt, q, q1, beta, gs)
-    fam = _scenario_functions(scn, alpha)
     grid = _scenario_grid(scn, m, gs)
     wmass = weight_cell_masses(m, wgt.powered(theta), grid)
     details = {"theta": theta, "weight_condition": cond.constant,
@@ -613,7 +613,7 @@ def _thm21(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         base = _lq_or_inf(m, fv, q1)
         return _weighted_rows(f, prof, wmass, inv_theta, lambda lam: base / lam)
 
-    return _Plan(details, fam, evaluate)
+    return _Plan(details, evaluate)
 
 
 def _cor23_24(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
@@ -621,7 +621,6 @@ def _cor23_24(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     amalgam (Lebesgue) norm of the input."""
     cor24 = scn.target == "cor24"
     q, alpha, beta = _exponent(scn, "q"), _exponent(scn, "alpha"), _exponent(scn, "beta")
-    _require(_le(q.recip, 1.0), f"need q >= 1, got {q.value:g}")
     _require(alpha.recip > beta.recip, "need alpha < beta")
     if cor24:
         _require(q.recip > alpha.recip, "need q < alpha")
@@ -635,7 +634,6 @@ def _cor23_24(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     s = 1.0 / inv_s
 
     m = _scenario_measure(scn)
-    fam = _scenario_functions(scn, alpha)
     grid = _scenario_grid(scn, m, gs)
 
     def evaluate(f):
@@ -646,7 +644,7 @@ def _cor23_24(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         rhs = _amalgam(m, f, q, p, alpha, gs, tables)
         return _weak_rows(f, prof, grid.cell, inv_s, [(rhs, "")])
 
-    return _Plan({"s": s}, fam, evaluate)
+    return _Plan({"s": s}, evaluate)
 
 
 def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
@@ -654,7 +652,6 @@ def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     function, rho = w dmu, one row per (f, kappa).  Both sups run over
     lam >= one shared floor, each side up to its own top."""
     q, alpha, beta = _exponent(scn, "q"), _exponent(scn, "alpha"), _exponent(scn, "beta")
-    _require(_le(q.recip, 1.0), f"need q >= 1, got {q.value:g}")
     invp = q.recip - beta.recip
     _require(invp > _EPS, "need 1/q - 1/beta > 0")
     p = Exponent.from_recip(invp)
@@ -694,21 +691,20 @@ def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
                 for kappa in KAPPAS]
         return _Eval(rows, 0, {"amalgam_norms": {f.label: af}})
 
-    return _Plan(details, _scenario_functions(scn, alpha), evaluate)
+    return _Plan(details, evaluate)
 
 
 def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     """Local level-set estimate with the split-threshold fitted.
 
-    For each height a the interval I is grown from the level set of the
-    sampled potential until both endpoints fall at or below a; the fit
-    B is the smallest split factor making the off-interval contribution
-    at most a*b/2 for every tested height.  Grid points b below the fit
-    are dropped; if nothing survives the scenario is skipped, reported
-    but not failed.
+    For each height a (LEM32_A_FRACS of the potential's top) the interval
+    I is grown from the level set of the sampled potential until both
+    endpoints fall at or below a; the fit B is the smallest split factor
+    making the off-interval contribution at most a*b/2 for every tested
+    height.  Points of LEM32_B_GRID below the fit are dropped; if nothing
+    survives the scenario is skipped, reported but not failed.
     """
     q, beta = _exponent(scn, "q"), _exponent(scn, "beta")
-    _require(_le(q.recip, 1.0), f"need q >= 1, got {q.value:g}")
     invp = q.recip - beta.recip
     _require(invp > _EPS, "need 1/q - 1/beta > 0")
     pval = 1.0 / invp
@@ -716,13 +712,8 @@ def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     m = _scenario_measure(scn)
     k = _scenario_kernel(scn)
     _kernel_eta_gate(m, k, beta)
-    fam = _scenario_functions(scn)
     grid = _scenario_grid(scn, m, gs)
 
-    opts = scn.options
-    a_fracs = tuple(float(v) for v in opts.get("a_fracs", (0.5, 0.25)))
-    b_grid = tuple(float(v) for v in opts.get("b_grid", (4.0, 6.0, 8.0)))
-    c_grid = tuple(float(v) for v in opts.get("c_grid", np.geomspace(0.02, 0.5, 5)))
     details = {"p": pval, "intervals": [], "notes": []}
     n = grid.xs.size
 
@@ -741,7 +732,7 @@ def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         mprof = maximal_profile(m, f, q, beta, grid.xs, table=tables.get(m, f, q))
         top = _top(kprof)
         rows, intervals, notes = [], [], []
-        for frac in a_fracs:
+        for frac in LEM32_A_FRACS:
             a = frac * top if top > 0 else 1.0
             found = interval_for(kprof, a)
             if found is None:
@@ -762,40 +753,19 @@ def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
             thr = 2.0 * _top(tail) / a
             intervals.append({"function": f.label, "a": a, "x1": x1, "x2": x2,
                               "mass": mu_i, "b_threshold": thr})
-            bs = [b for b in b_grid if b >= thr * (1.0 - 1e-9)]
+            bs = [b for b in LEM32_B_GRID if b >= thr * (1.0 - 1e-9)]
             if not bs:
                 notes.append(f"{f.label}: all of b_grid sits below the fitted "
                              f"threshold {thr:g} at a={a:g}")
                 continue
             for b in bs:
-                for c in c_grid:
+                for c in LEM32_C_GRID:
                     cond = (kprof[sl] > a * b) & (mprof[sl] <= a * c)
                     lhs = float(np.sum(cond)) * grid.cell
                     rhs = (c / b) ** pval * mu_i
                     rows.append(_row(f.label, a, lhs, rhs, note=f"b={b:g} c={c:g}"))
         return _Eval(rows, 0 if rows else None,
                      {"intervals": intervals, "notes": notes})
-
-    def probe(f, ev):
-        # Evaluating 2f would fit the b-threshold again, at the cost of a
-        # restricted potential per height.  Instead the first row's
-        # interval is regrown on 2Kf at 2a and its (b, c) cell recounted.
-        first = ev.rows[0]
-        a2 = 2.0 * first["lam"]
-        f2 = scaled(f, 2.0)
-        kprof2 = _potential(m, f2, k, grid.xs, gs)
-        mprof2 = maximal_profile(m, f2, q, beta, grid.xs, table=tables.get(m, f2, q))
-        found = interval_for(kprof2, a2)
-        if found is None:
-            return True
-        j1, j2 = found
-        sl = slice(j1, j2 + 1)
-        b, c = (float(v) for v in first["note"].replace("b=", "")
-                .replace("c=", "").split())
-        cond = (kprof2[sl] > a2 * b) & (mprof2[sl] <= a2 * c)
-        lhs2 = float(np.sum(cond)) * grid.cell
-        rhs2 = (c / b) ** pval * (j2 - j1) * grid.cell
-        return _homog_ok(first["ratio"], float(_ratio(lhs2, rhs2)))
 
     def finish(rows):
         details["b_fit"] = max((iv["b_threshold"] for iv in details["intervals"]),
@@ -805,7 +775,7 @@ def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         details["diagnostic"] = "no admissible (interval, b) pair; scenario skipped"
         return "skip"
 
-    return _Plan(details, fam, evaluate, probe, finish)
+    return _Plan(details, evaluate, finish)
 
 
 def _lem33(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
@@ -818,12 +788,10 @@ def _lem33(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     factor.
     """
     q, beta = _exponent(scn, "q"), _exponent(scn, "beta")
-    _require(_le(q.recip, 1.0), f"need q >= 1, got {q.value:g}")
     _require(_le(beta.recip, q.recip), "need q <= beta")
     m = _scenario_measure(scn)
     k = _scenario_kernel(scn)
     _kernel_eta_gate(m, k, beta)
-    fam = _scenario_functions(scn)
     n_off = 5 * gs
 
     def evaluate(f):
@@ -843,7 +811,7 @@ def _lem33(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
                 rows.append(_row(f.label, off, lhs, rhs, note=label))
         return _Eval(rows)
 
-    return _Plan({"offsets": n_off * 2}, fam, evaluate)
+    return _Plan({"offsets": n_off * 2}, evaluate)
 
 
 def _prop34_cor35_cor36(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
@@ -859,7 +827,6 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     if scn.target == "prop34":
         q, q1 = _exponent(scn, "q"), _exponent(scn, "q1")
         alpha1, p1 = _exponent(scn, "alpha1"), _exponent(scn, "p1")
-        _require(_le(q.recip, 1.0), f"need q >= 1, got {q.value:g}")
         _require(_le(beta.recip, alpha.recip, q.recip), "need q <= alpha <= beta")
         _require(alpha.recip > beta.recip, "need alpha < beta")
         _require(_le(q1.recip, q.recip), "need q <= q1")
@@ -886,7 +853,6 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
 
     elif scn.target == "cor35":
         q, p = _exponent(scn, "q"), _exponent(scn, "p")
-        _require(_le(q.recip, 1.0), f"need q >= 1, got {q.value:g}")
         _require(_le(alpha.recip, q.recip), "need q <= alpha")
         _require(alpha.recip > beta.recip, "need alpha < beta")
         inv_th = q.recip - beta.recip
@@ -923,7 +889,7 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
             kprof = _potential(m, f, k, grid.xs, gs)
             return _weak_rows(f, kprof, grid.cell, inv_s, [(rhs, "")])
 
-    return _Plan(details, _scenario_functions(scn, alpha), evaluate)
+    return _Plan(details, evaluate)
 
 
 def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
@@ -942,13 +908,11 @@ def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     m_a = _scenario_measure(scn)
     _require(m_a.kind == "power" and m_a.a == a,
              "measure block must be power with a = exponents.a")
-    _require(_le(alpha.recip, 1.0), f"need alpha >= 1, got {alpha.value:g}")
     ratio_ga = (gamma - a) / (1.0 - a)
     _require(alpha.recip > ratio_ga + _EPS, "need alpha < (1 - a)/(gamma - a)")
     inv_eta = 1.0 - ratio_ga
-    assert abs(inv_eta - (1.0 - gamma) / (1.0 - a)) < 1e-12
     if "eta" in scn.exponents:
-        declared = Exponent.of(scn.exponents["eta"])
+        declared = _exponent(scn, "eta")
         _require(abs(declared.recip - inv_eta) <= 1e-9,
                  f"declared eta {declared.value:g} clashes with the derived "
                  f"value {1.0 / inv_eta:g}")
@@ -964,7 +928,6 @@ def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         _require(alpha.recip < 1.0, "the closing inequality needs alpha > 1")
 
     leb = lebesgue()
-    fam = _scenario_functions(scn, alpha)
     details = {"s": s, "eta": 1.0 / inv_eta}
 
     if sw:
@@ -981,10 +944,9 @@ def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
                 lhs = float(np.nansum((wfac * prof) ** s) * cell) ** inv_s
             return _Eval([_row(f.label, None, lhs, rhs)])
 
-        return _Plan(details, fam, closing)
+        return _Plan(details, closing)
 
     q, p = _exponent(scn, "q"), _exponent(scn, "p")
-    _require(_le(q.recip, 1.0), f"need q >= 1, got {q.value:g}")
     _require(_le(alpha.recip, q.recip), "need q <= alpha")
     inv_th = q.recip - ratio_ga
     _require(inv_th > _EPS, "need 1/q > (gamma - a)/(1 - a)")
@@ -1004,7 +966,7 @@ def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
             rhs_notes.append((weak_norm(m_a, bigf, alpha), "part2"))
         return _weak_rows(f, prof, grid.cell, inv_s, rhs_notes)
 
-    return _Plan(details, fam, evaluate)
+    return _Plan(details, evaluate)
 
 
 def _norm_properties(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
@@ -1015,7 +977,6 @@ def _norm_properties(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     _require(not (q.recip < alpha.recip or alpha.recip < p.recip),
              "need q <= alpha <= p for a nontrivial space")
     m = _scenario_measure(scn)
-    fam = _scenario_functions(scn, alpha)
     identity_mode = (q.value == p.value == alpha.value)
 
     def evaluate(f):
@@ -1033,7 +994,7 @@ def _norm_properties(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         rows.append(_row(f.label, None, full, weak, note="embedding"))
         return _Eval(rows, len(rows) - 1)
 
-    return _Plan({"identity_mode": identity_mode}, fam, evaluate)
+    return _Plan({"identity_mode": identity_mode}, evaluate)
 
 
 def _covering_trials(scn: Scenario, gs: int) -> VerificationReport:
@@ -1041,13 +1002,7 @@ def _covering_trials(scn: Scenario, gs: int) -> VerificationReport:
     the worst observed overlap, bounded by five.  It has no function
     family, so it runs outside the driver."""
     m = _scenario_measure(scn)
-    unknown = sorted(set(scn.options) - {"trials"})
-    if unknown:
-        raise ConfigError(f"{scn.name}: unknown option(s) {unknown}")
-    trials = scn.options.get("trials", 200)
-    if not (isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1):
-        raise ConfigError(f"{scn.name}: options.trials must be an int >= 1")
-    trials *= gs
+    trials = scn.options.get("trials", 200) * gs
     # The family's window reaches 2 in mass past the centres, beyond
     # every interval's half mass.
     _tail_gate(scn, m, COVER_CENTRES[0] - 2.0, COVER_CENTRES[1] + 2.0)

@@ -56,10 +56,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functions import RealFunction, power_twist
+from .functions import RealFunction
 from .measure import (GK_WEIGHTS, DivergenceError, EvaluationError,
                       IntervalRC, RadonMeasure, _cuts, _gk_nodes, _integrate_t,
-                      _ladder_tail, _segment_runs, lebesgue, power_measure)
+                      _ladder_tail, _segment_runs)
 from .norms import Exponent, LqTable, _t_layout, lq_norm
 
 __all__ = [
@@ -71,8 +71,6 @@ __all__ = [
     "maximal_profile",
     "potential",
     "potential_profile",
-    "riesz_potential",
-    "riesz_via_power_measure",
     "farfield_bound_check",
 ]
 
@@ -689,25 +687,6 @@ def potential_profile(m: RadonMeasure, f: RealFunction, k: Kernel,
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     return out
-
-
-def riesz_potential(f: RealFunction, gamma: float, x: float,
-                    tol: float = 1e-8) -> float:
-    """I_gamma f(x) = int |x-y|^(gamma-1) f(y) dy (Lebesgue route)."""
-    return potential(lebesgue(), f, riesz_kernel(gamma), x, tol=tol)
-
-
-def riesz_via_power_measure(f: RealFunction, gamma: float, a: float, x: float,
-                            tol: float = 1e-8) -> float:
-    """Same Riesz potential through the measure |y|^-a dy.
-
-    Writing dy = |y|^a dmu_a(y) moves the weight onto the data:
-    I_gamma f = K(|y|^a f) with K the potential over mu_a.  Both routes
-    must agree; this one exercises the singular-measure quadrature.
-    """
-    m = power_measure(a)
-    twist = power_twist(f, a)
-    return potential(m, twist, riesz_kernel(gamma), x, tol=tol)
 
 
 def farfield_bound_check(m: RadonMeasure, f: RealFunction, q, beta,

@@ -15,6 +15,7 @@ from amalgam.covering import random_family, select_cover
 from amalgam.functions import (
     indicator,
     power_function,
+    power_twist,
     riesz_kernel_function,
     scaled,
     table_function,
@@ -29,12 +30,7 @@ from amalgam.measure import (
     power_measure,
 )
 from amalgam.norms import Exponent, amalgam_norm, default_r_grid, lq_norm, weak_norm
-from amalgam.operators import (
-    maximal,
-    maximal_profile,
-    riesz_potential,
-    riesz_via_power_measure,
-)
+from amalgam.operators import maximal, maximal_profile, potential, riesz_kernel
 from amalgam.weights import (
     a_r_constant,
     default_interval_family,
@@ -176,14 +172,16 @@ def test_05_kernel_weak_norm(acceptance_log):
 
 def test_06_riesz_routes(acceptance_log):
     f = indicator(-1.0, 1.0)
-    oracle_err = abs(riesz_potential(f, 0.5, 0.0) - 4.0)
+    oracle_err = abs(potential(LEB, f, riesz_kernel(0.5), 0.0) - 4.0)
     xs = np.linspace(-2.5, 2.5, 50)
     worst = 0.0
     for a in (0.25, 0.5):
+        m, twist = power_measure(a), power_twist(f, a)
         for gamma in (0.4, 0.6):
+            k = riesz_kernel(gamma)
             for x in xs:
-                direct = riesz_potential(f, gamma, float(x))
-                via = riesz_via_power_measure(f, gamma, a, float(x))
+                direct = potential(LEB, f, k, float(x))
+                via = potential(m, twist, k, float(x))
                 worst = max(worst, abs(direct - via) / abs(direct))
     ok = oracle_err <= 1e-5 and worst <= 1e-5
     check(acceptance_log, 6, "riesz oracle + route agreement", ok,

@@ -19,7 +19,6 @@ from amalgam.harness import (
     TARGETS,
     TOOL_VERSION,
     _levels,
-    default_family,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -105,15 +104,6 @@ def test_load_scenario_reports_json_position(tmp_path):
 def test_targets_enumeration():
     assert len(TARGETS) == 14
     assert "thm31_goodlambda" in TARGETS and "steinweiss" in TARGETS
-
-
-def test_default_family_shape():
-    fam = default_family()
-    assert len(fam) == 5
-    labels = [f.label for f in fam]
-    assert len(set(labels)) == len(labels)
-    for f in fam:
-        assert np.isfinite(f.support.a) and np.isfinite(f.support.b)
 
 
 def test_sample_grid_layout():
@@ -244,7 +234,13 @@ def test_cli_rejects_a_tail_that_overflows_f_inverse_with_exit_2(tmp_path, capsy
     assert "F^-1 overflows in the left tail" in capsys.readouterr().err
 
 
-def test_lem32_skip_is_not_failure():
+def test_lem32_skip_is_not_failure(monkeypatch):
+    # At a = 0.5 of the top the interval cuts the tent's support, so the
+    # fitted threshold is positive and the one b below it is dropped.  (At
+    # the pinned heights 0.3 and 0.1 the interval holds the whole support,
+    # the threshold is 0 and every b survives.)
+    monkeypatch.setattr(harness, "LEM32_A_FRACS", (0.5,))
+    monkeypatch.setattr(harness, "LEM32_B_GRID", (1e-6,))
     block = {
         "target": "lem32",
         "measure": {"kind": "lebesgue"},
@@ -252,7 +248,6 @@ def test_lem32_skip_is_not_failure():
         "kernel": {"kind": "riesz", "gamma": 0.5},
         "exponents": {"q": 1, "beta": 2},
         "samples": 256,
-        "options": {"a_fracs": [0.5], "b_grid": [1e-6], "c_grid": [0.5]},
     }
     report = verify_scenario(parse_scenario(block))
     assert report.verdict == "skip"
@@ -521,6 +516,75 @@ def test_covering_options_in_range_run():
     report = run_scenario(parse_scenario(COVERING_BLOCK))
     assert report.details["trials"] == 2 and report.details["count"] == 40
     assert 1 <= report.empirical_constant <= 5
+
+
+def _file_block(stem: str, **changes) -> dict:
+    block = json.loads(Path(f"scenarios/{stem}.json").read_text())
+    block.update(changes)
+    return block
+
+
+@pytest.mark.parametrize("stem, options, match", [
+    # lem32's grids are fixed, so its former options are unknown ones.
+    ("lem32_lebesgue", {"a_fracs": [0.3, 0.1]}, r"\['a_fracs'\]"),
+    ("lem32_lebesgue", {"b_grid": [2, 3, 4, 6]}, r"\['b_grid'\]"),
+    ("lem32_power", {"c_grid": [0.05, 0.1, 0.2, 0.4, 0.8]}, r"\['c_grid'\]"),
+    ("lem32_power", {"b_gird": [2]}, r"\['b_gird'\]"),
+    ("cor24_lebesgue", {"trails": 5}, r"\['trails'\]"),
+    ("cor24_lebesgue", {"trials": 5}, r"\['trials'\]"),
+])
+def test_options_off_covering_are_unknown_exit_3(tmp_path, capsys, stem, options, match):
+    block = _file_block(stem, options=options)
+    with pytest.raises(ConfigError, match=rf"^{stem}: unknown option\(s\) {match}$"):
+        parse_scenario(block, name=stem)
+    p = tmp_path / f"{stem}.json"
+    p.write_text(json.dumps(block))
+    assert main(["verify", "--scenario", str(p)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {stem}: unknown option")
+
+
+def test_every_scenario_file_reads_only_its_targets_exponents():
+    paths = sorted(Path("scenarios").glob("*.json"))
+    assert len(paths) == 41
+    for path in paths:
+        scn = load_scenario(path)
+        assert set(scn.exponents) <= set(harness.TARGET_EXPONENTS[scn.target])
+    assert set(harness.TARGET_EXPONENTS) == set(TARGETS)
+
+
+@pytest.mark.parametrize("stem, old, new", [
+    ("cor24_lebesgue", "alpha", "alhpa"),
+    ("prop41_alpha15", "eta", "eat"),
+    ("lem32_power", "q", "Q")])
+def test_a_misspelt_exponent_exits_3(tmp_path, capsys, stem, old, new):
+    block = _file_block(stem)
+    block["exponents"][new] = block["exponents"].pop(old)
+    with pytest.raises(ConfigError, match=rf"reads no exponent\(s\) \['{new}'\]$"):
+        parse_scenario(block, name=stem)
+    p = tmp_path / f"{stem}.json"
+    p.write_text(json.dumps(block))
+    assert main(["verify", "--scenario", str(p)]) == 3
+    assert "reads no exponent(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("functions", [None, []])
+@pytest.mark.parametrize("stem, code", [
+    ("cor24_lebesgue", 3), ("lem32_power", 3), ("steinweiss_a25", 3),
+    # The hypothesis gates run before the family is read.
+    ("reject_thm21_p1", 2), ("reject_cor23_window", 2), ("reject_prop41_order", 2)])
+def test_a_function_target_needs_functions(tmp_path, capsys, stem, code, functions):
+    block = _file_block(stem)
+    del block["functions"]
+    if functions is not None:
+        block["functions"] = functions
+    p = tmp_path / f"{stem}.json"
+    p.write_text(json.dumps(block))
+    assert main(["verify", "--scenario", str(p)]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err.startswith("config error: ") and "needs a functions list" in err
+    else:
+        assert "needs a functions list" not in err
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

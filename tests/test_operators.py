@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from amalgam.functions import (RealFunction, indicator, power_function, scaled,
-                               table_function, tent)
+from amalgam.functions import (RealFunction, indicator, power_function,
+                               power_twist, scaled, table_function, tent)
 from amalgam.measure import (DivergenceError, EvaluationError, IntervalRC,
                              custom_measure, gk_panels, integrate, lebesgue,
                              power_measure)
@@ -24,8 +24,6 @@ from amalgam.operators import (
     potential,
     potential_profile,
     riesz_kernel,
-    riesz_potential,
-    riesz_via_power_measure,
     table_kernel,
 )
 
@@ -113,17 +111,21 @@ def test_potential_farfield_decay():
 
 
 def test_riesz_oracle():
-    assert riesz_potential(CHI11, 0.5, 0.0) == pytest.approx(4.0, rel=1e-7)
-    assert riesz_potential(CHI01, 0.5, 0.0) == pytest.approx(2.0, rel=1e-7)
-    assert riesz_potential(ZERO, 0.5, 0.0) == 0.0
+    k = riesz_kernel(0.5)
+    assert potential(LEB, CHI11, k, 0.0) == pytest.approx(4.0, rel=1e-7)
+    assert potential(LEB, CHI01, k, 0.0) == pytest.approx(2.0, rel=1e-7)
+    assert potential(LEB, ZERO, k, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("a", [0.25, 0.5])
 @pytest.mark.parametrize("gamma", [0.4, 0.6])
 def test_riesz_route_agreement_spot(a, gamma):
+    # dy = |y|^a dmu_a(y) moves the weight onto the data: the Riesz
+    # potential of f is the mu_a potential of |y|^a f.
+    k, m, twist = riesz_kernel(gamma), power_measure(a), power_twist(CHI11, a)
     for x in (-1.7, -0.3, 0.45, 1.1, 2.6):
-        direct = riesz_potential(CHI11, gamma, x)
-        via = riesz_via_power_measure(CHI11, gamma, a, x)
+        direct = potential(LEB, CHI11, k, x)
+        via = potential(m, twist, k, x)
         assert via == pytest.approx(direct, rel=1e-5)
 
 
