@@ -22,10 +22,12 @@ Then it runs a fixed list of CLI queries in each tree (QUERIES: the
 README's CLI examples, its `verify` without `--out`, `cover --random
 200` at seeds 0, 7 and 61 on Lebesgue and a power measure, four more
 `weight` queries (one at r = 1, the essential-sup branch), a `potential`
-at tol 1e-12, and `maximal` at beta = 2 and inf and `norm` at p = 2 and
-inf of tents on Lebesgue and a power measure) and prints one summary
-line, then every query whose stdout or exit code differs.  Together
-they reach every caller of the G-K bisection driver (measure._bisect).
+at tol 1e-12, `maximal` at beta = 2 and inf and `norm` at p = 2 and
+inf of tents on Lebesgue and a power measure, and two sups at q = inf:
+`maximal` of a tent and `norm` at p = alpha = inf of a spike) and
+prints one summary line, then every query whose stdout or exit code
+differs.  Together they reach every caller of the G-K bisection driver
+(measure._bisect).
 
 Exits 1 on any byte difference in a report or a query's stdout, 2 if a
 sweep could not run, else 0.
@@ -97,6 +99,12 @@ QUERIES = [
           ("power:0.3", "tent:-1:1.5", "1", "inf", "2", "0.5"),
           ("power:0.3", "tent:0.5:2:3", "2", "2", "2", "1"),
           ("lebesgue", "tent:0.5:2:3", "1.5", "inf", "3", "2")]],
+    # sups at q = inf: a tent's peak on its breakpoint, and a spike's on
+    # its window's left end
+    ["maximal", "--measure", "power:0.3", "--function", "tent:-1:1.5", "--q", "inf",
+     "--beta", "inf", "--x", "0.3"],
+    ["norm", "--measure", "lebesgue", "--function", "power:-0.5:0.05:2", "--q", "1",
+     "--p", "inf", "--alpha", "inf"],
 ]
 
 

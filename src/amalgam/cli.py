@@ -93,6 +93,22 @@ def finite(text: str) -> float:
     return value
 
 
+def positive_finite(text: str) -> float:
+    """argparse type: a finite float above 0."""
+    value = finite(text)
+    if not value > 0.0:
+        raise ValueError(text)
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type: an int of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type: an int of at least 1."""
     value = int(text)
@@ -253,7 +269,7 @@ def build_parser() -> _Parser:
     p.add_argument("--function", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--x", type=finite, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=positive_finite, default=1e-8)
     p.set_defaults(fn=_cmd_potential)
 
     p = sub.add_parser("weight", help="interval condition constant")
@@ -265,13 +281,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cover", help="random covering trials")
     p.add_argument("--measure", default="lebesgue")
     p.add_argument("--random", type=positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--count", type=positive_int, default=40)
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("verify", help="run one scenario file")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--grid-scale", type=positive_int, default=1)
     p.set_defaults(fn=_cmd_verify)
@@ -279,7 +295,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run many scenario files")
     p.add_argument("--scenario", action="append", default=[])
     p.add_argument("--dir", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--grid-scale", type=positive_int, default=1)
     p.add_argument("--jobs", type=positive_int, default=1,

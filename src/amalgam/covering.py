@@ -40,6 +40,10 @@ __all__ = [
     "random_family",
 ]
 
+# Mass by which random_family's window reaches past its centre range on
+# each side, in measure coordinates.
+WINDOW_PAD = 2.0
+
 
 def midpoint(m: RadonMeasure, I: IntervalRC) -> float:
     """The mass midpoint: mu([a,c)) = mu([c,b)) = mu(I)/2, exact through
@@ -243,8 +247,7 @@ def _sweep(a, b, mids, steps):
 
 def random_family(m: RadonMeasure, count: int = 40, seed: int | range = 0,
                   mass_range: tuple[float, float] = (0.5, 2.0),
-                  center_range: tuple[float, float] = (-4.0, 4.0),
-                  window_pad: float = 2.0) -> MidpointedFamily:
+                  center_range: tuple[float, float] = (-4.0, 4.0)) -> MidpointedFamily:
     """Random mass-parameterized intervals.  The default mass ratio 4
     keeps the greedy overlap within the certified bound; widening it is
     the knob for stress tests.
@@ -274,8 +277,8 @@ def random_family(m: RadonMeasure, count: int = 40, seed: int | range = 0,
             error = e
         a, b = a[:trial], b[:trial]
     Fa, Fb = m.cdf(a), m.cdf(b)
-    w_lo = float(m.inv_cdf(center_range[0] - window_pad))
-    w_hi = float(m.inv_cdf(center_range[1] + window_pad))
+    w_lo = float(m.inv_cdf(center_range[0] - WINDOW_PAD))
+    w_hi = float(m.inv_cdf(center_range[1] + WINDOW_PAD))
     fam = _family(m, a, b, Fa, Fb, Fb - Fa, make_interval(m, w_lo, w_hi), 1e-9, error)
     if isinstance(seed, range):
         return fam

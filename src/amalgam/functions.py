@@ -36,8 +36,7 @@ __all__ = [
 class RealFunction:
     """A real function on the line with declared effective support.
 
-    Outside `support` the magnitude is bounded by `tail_bound` (zero for
-    every built-in family member).  When a closed form is known,
+    f vanishes outside `support`.  When a closed form is known,
     `levels(lams, strict)` gives {|f| > lam} (or {|f| >= lam}) for every
     lam of the 1-d array lams as two float arrays lo, hi of shape
     (pieces, len(lams)): piece i of level j is [lo[i, j], hi[i, j]], one
@@ -48,7 +47,6 @@ class RealFunction:
     eval: Callable[[np.ndarray], np.ndarray]
     support: IntervalRC
     label: str
-    tail_bound: float = 0.0
     singularities: tuple[float, ...] = ()
     breakpoints: tuple[float, ...] = ()
     levels: Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray]] | None = None
@@ -236,8 +234,7 @@ def scaled(f: RealFunction, c: float) -> RealFunction:
         def levels(lams, strict, _b=base_levels, _c=abs(c)):
             return _b(lams / _c, strict)
     return replace(f, eval=(lambda x, _e=f.eval, _c=c: _c * _e(x)),
-                   label=f"{c}*{f.label}",
-                   tail_bound=abs(c) * f.tail_bound, levels=levels)
+                   label=f"{c}*{f.label}", levels=levels)
 
 
 def product(f: RealFunction, g_eval: Callable, label: str,
@@ -246,7 +243,7 @@ def product(f: RealFunction, g_eval: Callable, label: str,
     """f times a plain vectorized factor; analytic level structure is lost."""
     return RealFunction(
         eval=(lambda x, _f=f.eval, _g=g_eval: _f(x) * _g(x)),
-        support=f.support, label=label, tail_bound=0.0,
+        support=f.support, label=label,
         singularities=tuple(sorted({*f.singularities, *map(float, extra_singularities)})),
         breakpoints=tuple(sorted({*f.breakpoints, *map(float, extra_breakpoints)})),
         levels=None)

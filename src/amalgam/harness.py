@@ -135,6 +135,11 @@ class Scenario:
     name: str
 
 
+def _is_number(v) -> bool:
+    """An int or a float of JSON, not a boolean."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def parse_scenario(block: dict, name: str = "scenario") -> Scenario:
     def need(ok: bool, what: str):
         if not ok:
@@ -163,10 +168,11 @@ def parse_scenario(block: dict, name: str = "scenario") -> Scenario:
     need(isinstance(samples, int) and samples >= 16,
          "field 'samples' must be an int >= 16")
     window_mass = block.get("window_mass", DEFAULT_WINDOW_MASS)
-    need(isinstance(window_mass, (int, float)) and window_mass > 0,
-         "field 'window_mass' must be positive")
+    need(_is_number(window_mass) and window_mass > 0,
+         "field 'window_mass' must be a positive number")
     seed = block.get("seed", 0)
-    need(isinstance(seed, int), "field 'seed' must be an int")
+    need(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+         "field 'seed' must be a non-negative int")
     options = block.get("options", {})
     need(isinstance(options, dict), "field 'options' must be an object")
     # Only covering_trials takes an option: trials, the families it draws.
@@ -203,9 +209,12 @@ def load_scenario(path) -> Scenario:
 def _exponent(scn: Scenario, key: str) -> Exponent:
     if key not in scn.exponents:
         raise ConfigError(f"{scn.name}: target {scn.target!r} needs exponents.{key}")
+    v = scn.exponents[key]
+    if not (_is_number(v) or isinstance(v, str)):
+        raise ConfigError(f"{scn.name}: exponents.{key} must be a number or 'inf'")
     try:
-        return Exponent.of(scn.exponents[key])
-    except (TypeError, ValueError) as e:
+        return Exponent.of(v)
+    except ValueError as e:
         raise ConfigError(f"{scn.name}: exponents.{key}: {e}") from e
 
 
@@ -213,7 +222,7 @@ def _real_param(scn: Scenario, key: str) -> float:
     if key not in scn.exponents:
         raise ConfigError(f"{scn.name}: target {scn.target!r} needs exponents.{key}")
     v = scn.exponents[key]
-    if not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"{scn.name}: exponents.{key} must be a number")
     return float(v)
 

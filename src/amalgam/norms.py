@@ -84,6 +84,10 @@ class Exponent:
         return "Exponent(inf)" if self.is_inf else f"Exponent({self.value:g})"
 
 
+# The geometric levels of weak_norm's scan for f with declared levels.
+LAMBDA_GRID_SIZE = 512
+
+
 class TrivialSpaceError(ValueError):
     """Raised when an exponent triple makes the amalgam space trivial."""
 
@@ -166,41 +170,30 @@ class LqTables:
         return table
 
 
-def _sample_abs(m: RadonMeasure, f: RealFunction, t_lo: float | np.ndarray,
-                t_hi: float | np.ndarray, n: int) -> np.ndarray:
-    """|f| at n cell midpoints in measure coordinates (finite values);
-    for column arrays t_lo, t_hi a row of n per interval."""
+def _sample_abs(m: RadonMeasure, f: RealFunction, t_lo: float, t_hi: float,
+                n: int) -> np.ndarray:
+    """|f| at the midpoints of n equal cells of [t_lo, t_hi] in measure
+    coordinates."""
     ts = t_lo + (t_hi - t_lo) * (np.arange(n) + 0.5) / n
     with np.errstate(divide="ignore", over="ignore"):
         vals = np.abs(np.asarray(f(m.inv_cdf(ts)), float))
     return vals
 
 
-def _block_sups(m: RadonMeasure, f: RealFunction, xs: np.ndarray) -> np.ndarray:
-    """The sup of |f| on each block [xs[i], xs[i+1]) of the ascending xs,
-    as lq_norm's q = inf reads it: at 4097 sampled midpoints, the left
-    end, the double just below the right end (the left limit there) and
-    f's singular points and breakpoints in the block, where a spike
-    peaks.  NaN values are skipped; a block with no other value is 0.
-    The midpoints of four blocks at a time (16,388 points, whose
-    temporaries stay in a core's L2 cache: on a 2-vCPU Xeon 3x faster
-    than 64 blocks at a time) go through inv_cdf and f in one array
-    pass."""
-    ts = m.cdf(xs)
-    t_lo, t_hi = ts[:-1, None], ts[1:, None]
-    sups = np.concatenate([
-        np.fmax.reduce(_sample_abs(m, f, t_lo[i:i + 4], t_hi[i:i + 4], 4097), axis=1)
-        for i in range(0, t_lo.size, 4)])
-    marked = np.array([*getattr(f, "singularities", ()),
-                       *getattr(f, "breakpoints", ())], float)
-    block = np.searchsorted(xs, marked, side="right") - 1
-    inside = (block >= 0) & (block < sups.size)
+def _sup_abs(m: RadonMeasure, f: RealFunction, a: float, b: float) -> float:
+    """The sup of |f| on [a, b) as lq_norm's q = inf reads it: at 4097
+    sampled midpoints, a, the double just below b (the left limit there)
+    and f's singular points and breakpoints in [a, b), where a spike
+    peaks.  NaN values are skipped; with no other value the sup is 0."""
+    t_lo, t_hi = m.cdf(np.array([a, b]))
+    marked = np.array([*f.singularities, *f.breakpoints], float)
+    points = np.concatenate([[a, np.nextafter(b, -np.inf)],
+                             marked[(marked >= a) & (marked < b)]])
     with np.errstate(divide="ignore", over="ignore"):
-        left, below, at = (np.abs(np.asarray(f(x), float)) for x in
-                           (xs[:-1], np.nextafter(xs[1:], -np.inf), marked[inside]))
-    sups = np.fmax(sups, np.fmax(left, below))
-    np.fmax.at(sups, block[inside], at)
-    return np.where(np.isnan(sups), 0.0, sups)
+        at = np.abs(np.asarray(f(points), float))
+    sup = np.fmax(np.fmax.reduce(_sample_abs(m, f, t_lo, t_hi, 4097)),
+                  np.fmax.reduce(at))
+    return 0.0 if np.isnan(sup) else float(sup)
 
 
 def lq_norm(m: RadonMeasure, f: RealFunction, interval: IntervalRC,
@@ -211,7 +204,7 @@ def lq_norm(m: RadonMeasure, f: RealFunction, interval: IntervalRC,
     [a, b), where a spike peaks (NaN values ignored)."""
     q = Exponent.of(q)
     if q.is_inf:
-        return float(_block_sups(m, f, np.array([interval.a, interval.b]))[0])
+        return _sup_abs(m, f, interval.a, interval.b)
     qv = q.value
 
     def g(x):
@@ -236,8 +229,6 @@ def level_set_mass(m: RadonMeasure, f: RealFunction, lam,
     lo, hi = f.levels(lams.reshape(-1), strict)
     ends = m.cdf(np.stack([lo, hi]))
     mass = np.where(hi > lo, ends[1] - ends[0], 0.0).sum(axis=0)
-    if f.tail_bound > 0.0:
-        mass[lams.reshape(-1) < f.tail_bound] = np.inf
     return float(mass[0]) if lams.ndim == 0 else mass.reshape(lams.shape)
 
 
@@ -270,13 +261,12 @@ def _levels(values: np.ndarray, prof: np.ndarray,
     return desc[sel][::-1], sums[sel][::-1]
 
 
-def weak_norm(m: RadonMeasure, f: RealFunction, alpha,
-              lambda_grid_size: int = 512) -> float:
+def weak_norm(m: RadonMeasure, f: RealFunction, alpha) -> float:
     """Weak L^alpha norm: sup_lam lam * mu(|f| > lam)^(1/alpha), over lam
     from max(smallest positive sample, 1e-15 * largest) of |f| at 4096
     equal cells.  Without declared levels mu counts the cells above lam,
     so the sup is exact at the samples (_levels).  With them lam runs
-    over lambda_grid_size geometric levels, each with the exact mass of
+    over LAMBDA_GRID_SIZE geometric levels, each with the exact mass of
     the open and the closed level set (the left limit; exact on plateaus):
     two level_set_mass calls over the whole grid.
     """
@@ -291,11 +281,9 @@ def weak_norm(m: RadonMeasure, f: RealFunction, alpha,
     floor = max(float(np.min(vals[vals > 0.0])), top * 1e-15)
     ra = alpha.recip
     if f.levels is None:
-        if f.tail_bound > 0.0 and floor < f.tail_bound:
-            return np.inf
         lams, mus = _levels(np.full(vals.shape, (t_hi - t_lo) / vals.size), vals, floor)
         return float(np.max(lams * mus ** ra))
-    lams = np.geomspace(floor, top, lambda_grid_size)
+    lams = np.geomspace(floor, top, LAMBDA_GRID_SIZE)
     mus = [level_set_mass(m, f, lams, strict) for strict in (True, False)]
     return float(np.max(lams * np.array(mus) ** ra))
 
@@ -325,15 +313,11 @@ def _powered(values: np.ndarray, p: Exponent) -> np.ndarray:
     return values if p.is_inf else values ** p.value
 
 
-def _combine(powered: np.ndarray, p: Exponent, tail_candidate: float = 0.0) -> float:
+def _combine(powered: np.ndarray, p: Exponent) -> float:
     """|f|_{q,p;r} from its blocks' values raised to p (_powered): their
-    sum to the 1/p (numpy's pairwise sum), or at p = inf their max with
-    the tail candidate."""
+    sum to the 1/p (numpy's pairwise sum), or at p = inf their max."""
     if p.is_inf:
-        vmax = float(powered.max()) if powered.size else 0.0
-        return max(vmax, tail_candidate)
-    if tail_candidate > 0.0:
-        return np.inf   # infinitely many tail blocks each above zero
+        return float(powered.max()) if powered.size else 0.0
     return float(powered.sum() ** (1.0 / p.value))
 
 
@@ -344,8 +328,8 @@ def _block_values(table: LqTable, edges) -> np.ndarray:
     return np.maximum(cum[1:] - cum[:-1], 0.0) ** (1.0 / table.q.value)
 
 
-def _scale_value(table: LqTable, p: Exponent, tail_bound: float, expo: float,
-                 t0: float, t_lo: float, t_hi: float, r: float) -> float:
+def _scale_value(table: LqTable, p: Exponent, expo: float, t0: float,
+                 t_lo: float, t_hi: float, r: float) -> float:
     """r^expo |f|_{q,p;r} at the one scale r, with the block indices of
     _block_edges as Python integers: about ten numpy calls (one
     np.interp, the clipped differences, two array powers and one sum),
@@ -356,25 +340,20 @@ def _scale_value(table: LqTable, p: Exponent, tail_bound: float, expo: float,
     i_lo = math.floor((t_lo - t0) / r)
     i_hi = max(math.ceil((t_hi - t0) / r), i_lo + 1)
     values = _block_values(table, [t0 + i * r for i in range(i_lo, i_hi + 1)])
-    return r ** expo * _combine(_powered(values, p), p, tail_bound * r ** table.q.recip)
+    return r ** expo * _combine(_powered(values, p), p)
 
 
-def _scale_values(table: LqTable, p: Exponent, tail_bound: float, expo: float,
-                  t0: float, t_lo: float, t_hi: float, rs: np.ndarray) -> np.ndarray:
-    """r^expo |f|_{q,p;r} for every scale r of rs.  One scale is
-    _scale_value's.  Many are valued in one pass: one np.interp over the
-    edges of all scales (_block_edges) and one power to 1/q and one to p
-    over all blocks; per scale only its slice's sum (numpy's pairwise
-    sum, as _scale_value's) and the scalar powers remain, about 4 us.
-    The pairs that straddle two scales' runs are valued too, and
-    skipped."""
-    if rs.size == 1:
-        return np.array([_scale_value(table, p, tail_bound, expo, t0, t_lo, t_hi,
-                                      float(rs[0]))])
+def _scale_values(table: LqTable, p: Exponent, expo: float, t0: float,
+                  t_lo: float, t_hi: float, rs: np.ndarray) -> np.ndarray:
+    """r^expo |f|_{q,p;r} for every scale r of rs, in one pass: one
+    np.interp over the edges of all scales (_block_edges) and one power
+    to 1/q and one to p over all blocks; per scale only its slice's sum
+    (numpy's pairwise sum, as _scale_value's) and the scalar powers
+    remain, about 4 us.  The pairs that straddle two scales' runs are
+    valued too, and skipped."""
     edges, starts, n = _block_edges(t0, rs, t_lo, t_hi)
     powered = _powered(_block_values(table, edges), p)
-    rq = table.q.recip
-    return np.array([r ** expo * _combine(powered[a:a + k - 1], p, tail_bound * r ** rq)
+    return np.array([r ** expo * _combine(powered[a:a + k - 1], p)
                      for r, a, k in zip(rs.tolist(), starts.tolist(), n.tolist())])
 
 
@@ -382,27 +361,24 @@ def block_norm(m: RadonMeasure, f: RealFunction, q, p, r: float,
                x0: float = 0.0, table: LqTable | None = None) -> float:
     """Block norm at scale r for the partition anchored at x0.
 
-    Only blocks meeting the effective support are evaluated; with a
-    declared nonzero tail bound the remaining blocks contribute
-    tail_bound * r^(1/q) apiece (finite only in the sup combination).
-    At q = inf a block's value is lq_norm's sup over it, which reads f's
-    singular points and breakpoints.
+    Only blocks meeting the support are evaluated.  At q = inf a block's
+    value is lq_norm's sup over it, which reads f's singular points and
+    breakpoints.
     """
     q, p = Exponent.of(q), Exponent.of(p)
     rs = np.array([r], float)
     _check_scales(rs)
     t_lo, t_hi = _t_range(m, f)
     if q.is_inf:
-        xs = m.inv_cdf(_block_edges(m.cdf(x0), rs, t_lo, t_hi)[0])
-        sups = _block_sups(m, f, xs)
+        xs = m.inv_cdf(_block_edges(m.cdf(x0), rs, t_lo, t_hi)[0]).tolist()
+        sups = np.array([_sup_abs(m, f, a, b) for a, b in zip(xs[:-1], xs[1:])])
         # a sup read next to a singular point can overflow its power to p,
         # and then the norm is inf: the true value, not a warning
         with np.errstate(over="ignore"):
-            return _combine(_powered(sups, p), p, f.tail_bound)
+            return _combine(_powered(sups, p), p)
     if table is None:
         table = LqTable(m, f, q)
-    return float(_scale_values(table, p, f.tail_bound, 0.0, m.cdf(x0),
-                               t_lo, t_hi, rs)[0])
+    return _scale_value(table, p, 0.0, m.cdf(x0), t_lo, t_hi, float(rs[0]))
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
@@ -461,12 +437,7 @@ def amalgam_norm(m: RadonMeasure, f: RealFunction, q, p, alpha,
             raise ValueError("amalgam norm needs at least one block scale in r_grid")
         _check_scales(r_grid)
     if alpha.recip == p.recip:
-        value = lq_norm(m, f, f.support, p)
-        if f.tail_bound > 0.0:
-            # A nonzero tail on an unbounded measure: the tail blocks
-            # add tail_bound to the sup, and infinitely much to a sum.
-            value = max(value, f.tail_bound) if p.is_inf else np.inf
-        return float(value), 0.0
+        return float(lq_norm(m, f, f.support, p)), 0.0
     if r_grid is None:
         r_grid = default_r_grid(m.mass(f.support))
     # q <= alpha <= p and alpha < p leave q finite.
@@ -475,15 +446,14 @@ def amalgam_norm(m: RadonMeasure, f: RealFunction, q, p, alpha,
         table = LqTable(m, f, q)
     t0 = m.cdf(x0)
     t_lo, t_hi = _t_range(m, f)
-    vals = _scale_values(table, p, f.tail_bound, expo, t0, t_lo, t_hi, r_grid)
+    vals = _scale_values(table, p, expo, t0, t_lo, t_hi, r_grid)
     if not np.any(vals > 0.0):
         return 0.0, float(r_grid[0])
     j = int(np.argmax(vals))
     lo = r_grid[max(j - 1, 0)]
     hi = r_grid[min(j + 1, len(r_grid) - 1)]
     r_best, v_best = _golden_max(
-        lambda u: _scale_value(table, p, f.tail_bound, expo, t0, t_lo, t_hi,
-                               float(np.exp(u))),
+        lambda u: _scale_value(table, p, expo, t0, t_lo, t_hi, float(np.exp(u))),
         np.log(lo), np.log(hi))
     if v_best >= vals[j]:
         return float(v_best), float(np.exp(r_best))

@@ -86,6 +86,9 @@ _EDGE_BLOCK = 1 << 15
 # Every _COARSE_STRIDE-th table edge is an end of pointwise maximal's
 # coarse start pairs.
 _COARSE_STRIDE = 32
+# farfield_bound_check's flanking masses may differ by this share of the
+# largest of the three masses.
+FLANK_MASS_TOL = 1e-6
 
 
 @dataclass
@@ -691,7 +694,7 @@ def potential_profile(m: RadonMeasure, f: RealFunction, k: Kernel,
 
 def farfield_bound_check(m: RadonMeasure, f: RealFunction, q, beta,
                          y1: float, x1: float, x2: float, y2: float,
-                         x: float, k: Kernel, mass_tol: float = 1e-6, *,
+                         x: float, k: Kernel, *,
                          table: LqTable | None = None) -> tuple[float, float]:
     """Far-field domination data: (K f(x), mass-ratio^(1/eta) * maximal).
 
@@ -705,7 +708,7 @@ def farfield_bound_check(m: RadonMeasure, f: RealFunction, q, beta,
     right = m.mass(IntervalRC(x2, y2))
     core = m.mass(IntervalRC(x1, x2))
     scale = max(left, right, core)
-    if abs(left - right) > mass_tol * scale:
+    if abs(left - right) > FLANK_MASS_TOL * scale:
         raise ValueError(f"flanking masses differ: {left} vs {right}")
     if min(left, right) < core * (1.0 - 1e-9):
         raise ValueError("flanking masses must be at least the core mass")

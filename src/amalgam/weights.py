@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _BIG = 1e15
+MAX_PIECES = 4      # subintervals of I that a sampled E joins, at most
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class Weight:
         zeros = self.spec.get("zeros", ())
         sing = tuple(w.singularities) + (tuple(zeros) if e < 0 else ())
         return replace(w, eval=ev, label=f"{w.label}^{e:g}", levels=None,
-                       singularities=sing, tail_bound=0.0)
+                       singularities=sing)
 
 
 def make_weight(spec: dict) -> Weight:
@@ -214,6 +215,25 @@ def _scan(family: Sequence[IntervalRC],
     return WeightConditionResult(best, best_I, len(family), diverging, per_level)
 
 
+def _two_factor(m: RadonMeasure, wgt: Weight,
+                family: Sequence[IntervalRC] | None, inv_theta: float,
+                gap: float) -> WeightConditionResult:
+    """sup over the family (default_interval_family if None) of
+    (avg_I w^theta)^(1/theta) * (avg_I w^(-1/gap))^gap, 1/theta =
+    inv_theta; at gap = 0 the second factor is the sampled essential sup
+    of w^(-1)."""
+    if family is None:
+        family = default_interval_family(m)
+    t_a, t_b = _t_ends(m, family)
+    _check_positive(m, wgt.fn, t_a, t_b)
+    first = _averages(m, wgt.powered(1.0 / inv_theta), t_a, t_b) ** inv_theta
+    if gap == 0.0:
+        second = _ess_sups(m, wgt.powered(-1.0), family)
+    else:
+        second = _averages(m, wgt.powered(-1.0 / gap), t_a, t_b) ** gap
+    return _scan(family, _product(first, second))
+
+
 def a_r_constant(m: RadonMeasure, w, r,
                  interval_family: Sequence[IntervalRC] | None = None
                  ) -> WeightConditionResult:
@@ -228,17 +248,7 @@ def a_r_constant(m: RadonMeasure, w, r,
     r = Exponent.of(r)
     if r.is_inf:
         raise ValueError("a_r_constant needs finite r >= 1")
-    if interval_family is None:
-        interval_family = default_interval_family(m)
-    t_a, t_b = _t_ends(m, interval_family)
-    _check_positive(m, wgt.fn, t_a, t_b)
-    avg_w = _averages(m, wgt.fn, t_a, t_b)
-    if r.value == 1.0:
-        second = _ess_sups(m, wgt.powered(-1.0), interval_family)
-    else:
-        w_dual = wgt.powered(-1.0 / (r.value - 1.0))
-        second = _averages(m, w_dual, t_a, t_b) ** (r.value - 1.0)
-    return _scan(interval_family, _product(avg_w, second))
+    return _two_factor(m, wgt, interval_family, 1.0, r.value - 1.0)
 
 
 def thm21_condition(m: RadonMeasure, v, q, q1, beta,
@@ -257,27 +267,15 @@ def thm21_condition(m: RadonMeasure, v, q, q1, beta,
     inv_theta = q1.recip - beta.recip
     if inv_theta <= 0:
         raise ValueError("need 1/q1 - 1/beta > 0")
-    theta = 1.0 / inv_theta
-    if interval_family is None:
-        interval_family = default_interval_family(m)
-    t_a, t_b = _t_ends(m, interval_family)
-    _check_positive(m, vw.fn, t_a, t_b)
-    first = _averages(m, vw.powered(theta), t_a, t_b) ** inv_theta
-    gap = q.recip - q1.recip
-    if gap == 0.0:
-        second = _ess_sups(m, vw.powered(-1.0), interval_family)
-    else:
-        second = _averages(m, vw.powered(-1.0 / gap), t_a, t_b) ** gap
-    return _scan(interval_family, _product(first, second))
+    return _two_factor(m, vw, interval_family, inv_theta, q.recip - q1.recip)
 
 
 @dataclass(frozen=True)
 class SubsetSampler:
-    """Draws E subset I as a union of up to max_pieces subintervals with
+    """Draws E subset I as a union of up to MAX_PIECES subintervals with
     a prescribed mass fraction; deterministic given the seed."""
 
     seed: int = 0
-    max_pieces: int = 4
     strata: tuple[float, ...] = (0.01, 0.03, 0.07, 0.15, 0.3, 0.5, 0.7, 0.9)
     draws_per_stratum: int = 2
 
@@ -292,7 +290,7 @@ class SubsetSampler:
                 if s >= 1.0:
                     yield [I], 1.0
                     continue
-                k = int(rng.integers(1, self.max_pieces + 1))
+                k = int(rng.integers(1, MAX_PIECES + 1))
                 sizes = s * L * rng.dirichlet(np.ones(k))
                 gaps = (1.0 - s) * L * rng.dirichlet(np.ones(k + 1))
                 pieces = []

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from amalgam import norms
 from amalgam.cli import main as cli_main
 from amalgam.covering import random_family, select_cover
 from amalgam.functions import (
@@ -104,19 +105,20 @@ EMBED_FAMILY = [
 ]
 
 
-def embedding_ratio(grid_mult):
+def embedding_ratio(grid_mult, monkeypatch):
+    monkeypatch.setattr(norms, "LAMBDA_GRID_SIZE", 512 * grid_mult)
     worst = 0.0
     for f in EMBED_FAMILY:
         grid = default_r_grid(LEB.mass(f.support), 64 * grid_mult)
         av, _ = amalgam_norm(LEB, f, 1, 4, 2, r_grid=grid)
-        wv = weak_norm(LEB, f, 2, lambda_grid_size=512 * grid_mult)
+        wv = weak_norm(LEB, f, 2)
         worst = max(worst, av / wv)
     return worst
 
 
-def test_03_embedding_constant_stable(acceptance_log):
-    c1 = embedding_ratio(1)
-    c2 = embedding_ratio(2)
+def test_03_embedding_constant_stable(acceptance_log, monkeypatch):
+    c1 = embedding_ratio(1, monkeypatch)
+    c2 = embedding_ratio(2, monkeypatch)
     drift = abs(c2 - c1) / c1
     ok = math.isfinite(c1) and drift <= 0.10
     check(acceptance_log, 3, "embedding constant stability", ok,

@@ -94,6 +94,39 @@ def test_parse_rejects_bad_shapes():
         parse_scenario(thm21_block(seed=1.5))
 
 
+@pytest.mark.parametrize("stem, path, value, match", [
+    # A JSON boolean is a Python int, yet no number: true was read as 1.
+    ("cor24_lebesgue", ("exponents", "q"), True, r"exponents\.q must be a number or 'inf'"),
+    ("cor24_lebesgue", ("exponents", "alpha"), False,
+     r"exponents\.alpha must be a number or 'inf'"),
+    ("steinweiss_a25", ("exponents", "a"), True, r"exponents\.a must be a number"),
+    ("steinweiss_a25", ("exponents", "gamma"), False, r"exponents\.gamma must be a number"),
+    ("cor24_lebesgue", ("window_mass",), True,
+     r"field 'window_mass' must be a positive number"),
+    ("cor24_lebesgue", ("seed",), True, r"field 'seed' must be a non-negative int"),
+    ("cor24_lebesgue", ("seed",), False, r"field 'seed' must be a non-negative int"),
+    # default_rng rejects a negative seed; thm31's weight sampler read
+    # it as a rejection, exit 2, and a covering file aborted a sweep.
+    ("thm31_lebesgue", ("seed",), -1, r"field 'seed' must be a non-negative int"),
+    ("covering_lebesgue", ("seed",), -1, r"field 'seed' must be a non-negative int"),
+], ids=["q_true", "alpha_false", "a_true", "gamma_false", "window_mass_true",
+        "seed_true", "seed_false", "thm31_seed_-1", "covering_seed_-1"])
+def test_a_boolean_or_a_negative_seed_is_a_config_error(tmp_path, capsys, stem, path,
+                                                       value, match):
+    block = json.loads(Path(f"scenarios/{stem}.json").read_text())
+    *outer, key = path
+    inner = block
+    for k in outer:
+        inner = inner[k]
+    inner[key] = value
+    with pytest.raises(ConfigError, match=rf"^{stem}: {match}$"):
+        run_scenario(parse_scenario(block, stem))
+    p = tmp_path / f"{stem}.json"
+    p.write_text(json.dumps(block))
+    assert main(["verify", "--scenario", str(p)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {stem}: ")
+
+
 def test_load_scenario_reports_json_position(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"target": "cor23",\n  "measure": }\n')
@@ -373,6 +406,18 @@ def test_cli_rejects_non_finite_x(command, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error") and "--x" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_cli_potential_rejects_a_tolerance_that_is_not_positive_and_finite(tol, capsys):
+    # 0, -1 and nan would bisect until the panel budget runs out, and inf
+    # would drop the ladder's tail and print a wrong value with exit 0.
+    code = main(["potential", "--measure", "power:0.3", "--function", "tent:-1:1.5:2",
+                 "--kernel", "riesz:0.5", "--x", "0.7", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"config error: argument --tol: invalid positive_finite value: '{tol}'"]
 
 
 @pytest.mark.parametrize("r, shown", [("-1", "-1.0"), ("0", "0.0"), ("inf", "inf"),
@@ -718,6 +763,35 @@ def test_cli_sweep_goes_on_past_a_malformed_file(tmp_path, jobs, capsys):
     assert [e["status"] for e in summary] == ["pass", "error", "pass"]
     assert summary[1]["scenario"] == "b_broken" and summary[1]["target"] is None
     assert "b_broken.json: invalid JSON at line 2" in summary[1]["reason"]
+
+
+def test_cli_sweep_goes_on_past_a_negative_seed(tmp_path, capsys):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    for stem, seed in (("a_norms_identity", 0), ("b_covering_lebesgue", -1),
+                       ("c_covering_lebesgue", 0)):
+        block = dict(small_scenario_block(stem[2:]), name=stem, seed=seed)
+        (scenarios / f"{stem}.json").write_text(json.dumps(block))
+    out = tmp_path / "out"
+    assert main(["sweep", "--dir", str(scenarios), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a_norms_identity [norm_properties] pass", "b_covering_lebesgue [?] error",
+        "c_covering_lebesgue [covering_trials] pass"]
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary[1]["reason"] == (
+        "b_covering_lebesgue: field 'seed' must be a non-negative int")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scenario", "scenarios/cor24_lebesgue.json"],
+    ["sweep", "--scenario", "scenarios/cor24_lebesgue.json"],
+    ["cover", "--random", "3"]], ids=["verify", "sweep", "cover"])
+def test_cli_rejects_a_negative_seed(argv, capsys):
+    assert main([*argv, "--seed=-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: argument --seed: invalid non_negative_int value: '-1'"]
 
 
 def _load_layers():

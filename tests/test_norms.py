@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from amalgam import norms
 from amalgam.functions import (
     indicator,
     power_function,
@@ -182,12 +183,6 @@ def test_amalgam_alpha_equal_p_is_lq_norm(f, q, p):
         assert scan <= val * (1.0 + 1e-8)
 
 
-def test_amalgam_alpha_equal_p_with_a_tail():
-    tailed = replace(CHI01, tail_bound=2.0)
-    assert amalgam_norm(LEB, tailed, 1, 2, 2)[0] == math.inf
-    assert amalgam_norm(LEB, tailed, 1, math.inf, math.inf) == (2.0, 0.0)
-
-
 def test_amalgam_zero_function():
     zero = table_function([[0.0, 0.0], [1.0, 0.0]])
     val, _ = amalgam_norm(LEB, zero, 1, 2, 1.5)
@@ -212,11 +207,8 @@ def _per_scale_block_norm(m, f, q, p, r, x0, table):
     c0 = np.interp(edges[:-1], table.t_edges, table.cum)
     c1 = np.interp(edges[1:], table.t_edges, table.cum)
     values = np.maximum(c1 - c0, 0.0) ** (1.0 / q.value)
-    tail = f.tail_bound * r ** q.recip
     if p.is_inf:
-        return max(float(np.max(values)), tail)
-    if tail > 0.0:
-        return np.inf
+        return float(np.max(values))
     return float(np.sum(values ** p.value) ** (1.0 / p.value))
 
 
@@ -276,10 +268,9 @@ def test_one_pass_scan_equals_the_per_scale_loop(mname, f, p, grid):
 
 @pytest.mark.parametrize("q, p, alpha", [(1, 2, 1.5), (1.5, 4, 2.5), (1, math.inf, 2)])
 @pytest.mark.parametrize("x0", [0.0, 0.3, -0.7])
-@pytest.mark.parametrize("tail", [0.0, 0.25])
-def test_one_pass_scan_with_tails_and_anchors(q, p, alpha, x0, tail):
+def test_one_pass_scan_with_anchors(q, p, alpha, x0):
     m = power_measure(0.4)
-    f = replace(tent(-1.0, 1.5), tail_bound=tail)
+    f = tent(-1.0, 1.5)
     r_grid = default_r_grid(m.mass(f.support))
     expected = _per_scale_amalgam(m, f, q, p, alpha, r_grid, x0=x0)
     assert amalgam_norm(m, f, q, p, alpha, r_grid=r_grid, x0=x0) == expected
@@ -338,10 +329,13 @@ MONO_FUNCTIONS = [CHI01, tent(-1.0, 1.0), power_function(-0.5, (0.05, 2.0)),
 
 
 @pytest.mark.parametrize("f", MONO_FUNCTIONS, ids=lambda f: f.label)
-def test_weak_norm_grid_refinement_monotone(f):
+def test_weak_norm_grid_refinement_monotone(f, monkeypatch):
     # Endpoint-fixed geometric grids are nested under n -> 2n-1, so the
     # candidate set only grows along this chain.
-    vals = [weak_norm(LEB, f, 2, lambda_grid_size=n) for n in (257, 513, 1025)]
+    vals = []
+    for n in (257, 513, 1025):
+        monkeypatch.setattr(norms, "LAMBDA_GRID_SIZE", n)
+        vals.append(weak_norm(LEB, f, 2))
     assert vals[0] <= vals[1] + 1e-12
     assert vals[1] <= vals[2] + 1e-12
 
@@ -489,7 +483,7 @@ def test_levels_pieces_match_a_dense_count(f, m, strict):
 # The scale search against the parent's one-pass scan and golden polish
 
 
-def _parent_scale_values(table, p, tail_bound, expo, t0, t_lo, t_hi, rs):
+def _parent_scale_values(table, p, expo, t0, t_lo, t_hi, rs):
     """The scan as it was before the lean one-scale evaluator: every
     scale's edges in one array, two interps (mass_between), one 1/q power
     over all blocks and _combine's power to p on each scale's slice."""
@@ -501,16 +495,13 @@ def _parent_scale_values(table, p, tail_bound, expo, t0, t_lo, t_hi, rs):
     c0 = np.interp(edges[:-1], table.t_edges, table.cum)
     c1 = np.interp(edges[1:], table.t_edges, table.cum)
     values = np.maximum(c1 - c0, 0.0) ** (1.0 / table.q.value)
-    rq = table.q.recip
 
-    def combine(v, tail):
+    def combine(v):
         if p.is_inf:
-            return max(float(v.max()) if v.size else 0.0, tail)
-        if tail > 0.0:
-            return np.inf
+            return float(v.max()) if v.size else 0.0
         return float((v ** p.value).sum() ** (1.0 / p.value))
 
-    return np.array([r ** expo * combine(values[a:a + k - 1], tail_bound * r ** rq)
+    return np.array([r ** expo * combine(values[a:a + k - 1])
                      for r, a, k in zip(rs, starts, n)])
 
 
@@ -541,7 +532,7 @@ def _parent_amalgam(m, f, q, p, alpha, r_grid, x0):
     t0, t_lo, t_hi = m.cdf(x0), m.cdf(f.support.a), m.cdf(f.support.b)
 
     def scan(rs):
-        return _parent_scale_values(table, p, f.tail_bound, expo, t0, t_lo, t_hi, rs)
+        return _parent_scale_values(table, p, expo, t0, t_lo, t_hi, rs)
 
     vals = scan(r_grid)
     if not np.any(vals > 0.0):
@@ -563,22 +554,21 @@ SEARCH_FUNCTIONS = {"tent": tent(-1.0, 1.5), "indicator": indicator(-0.3, 0.7),
 
 
 def _search_case(seed, m, f):
-    """Seeded exponents, anchor, tail and grid.  Odd seeds take p = inf;
+    """Seeded exponents, anchor and grid.  Odd seeds take p = inf;
     seed % 4 picks the default grid, one scale, the 128-scale grid or
     scales at and above the support's mass, where the support meets a
-    single block; seeds 2 and 5 (mod 6) carry a tail."""
+    single block."""
     rng = np.random.default_rng(seed)
     q = float(rng.choice([1.0, 1.5, 2.0]))
     p = math.inf if seed % 2 else float(rng.uniform(q + 0.5, 8.0))
     alpha = float(rng.uniform(q, min(p, 10.0)))
     x0 = 0.0 if seed % 8 == 0 else float(rng.uniform(-1.5, 1.5))
-    tail = 0.3 if seed % 6 in (2, 5) else 0.0
     mass = m.mass(f.support)
     grid = [default_r_grid(mass),
             np.array([mass * float(rng.uniform(0.01, 2.0))]),
             default_r_grid(mass, 128),
             np.geomspace(mass, 30.0 * mass, 12)][seed % 4]
-    return q, p, alpha, x0, replace(f, tail_bound=tail), grid
+    return q, p, alpha, x0, f, grid
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -605,21 +595,6 @@ def test_the_search_cases_meet_a_single_block():
     assert singles >= 50
 
 
-@pytest.mark.parametrize("mname", sorted(SEARCH_MEASURES))
-def test_a_tail_makes_a_sum_infinite_and_a_sup_its_max(mname):
-    m, q, alpha, x0, tail = SEARCH_MEASURES[mname], Exponent.of(1.5), Exponent.of(2.5), 0.4, 0.3
-    f0 = tent(-1.0, 1.5)
-    f = replace(f0, tail_bound=tail)
-    grid = default_r_grid(m.mass(f.support))
-    assert amalgam_norm(m, f, q, 4, alpha, r_grid=grid, x0=x0)[0] == math.inf
-    value, r = amalgam_norm(m, f, q, math.inf, alpha, r_grid=grid, x0=x0)
-    assert (value, r) == _parent_amalgam(m, f, q, math.inf, alpha, grid, x0)
-    # At the returned scale: the max of the blocks' sup and the tail's.
-    expo = alpha.recip - q.recip
-    assert value == max(r ** expo * block_norm(m, f0, q, math.inf, r, x0),
-                        r ** expo * (tail * r ** q.recip))
-
-
 @pytest.mark.parametrize("p", [3.0, math.inf])
 @pytest.mark.parametrize("mname", sorted(SEARCH_MEASURES))
 def test_one_scale_values_equal_the_grid_pass(mname, p):
@@ -631,13 +606,13 @@ def test_one_scale_values_equal_the_grid_pass(mname, p):
         table = LqTable(m, f, q)
         t0, t_lo, t_hi = m.cdf(float(rng.uniform(-1.5, 1.5))), *m.cdf(
             np.array([f.support.a, f.support.b]))
-        tail, expo = float(rng.choice([0.0, 0.2])), 0.5 * (p.recip - q.recip)
+        expo = 0.5 * (p.recip - q.recip)
         mass = t_hi - t_lo
         rs = mass * np.exp(rng.uniform(np.log(1e-3), np.log(30.0), 100))
-        many = _scale_values(table, p, tail, expo, t0, t_lo, t_hi, rs)
-        one = [_scale_value(table, p, tail, expo, t0, t_lo, t_hi, r) for r in rs.tolist()]
+        many = _scale_values(table, p, expo, t0, t_lo, t_hi, rs)
+        one = [_scale_value(table, p, expo, t0, t_lo, t_hi, r) for r in rs.tolist()]
         assert np.array_equal(many, one)
-        assert np.array_equal(many, _parent_scale_values(table, p, tail, expo, t0,
+        assert np.array_equal(many, _parent_scale_values(table, p, expo, t0,
                                                          t_lo, t_hi, rs))
 
 
@@ -648,14 +623,14 @@ def test_one_scale_value_of_a_point_range_is_one_block():
     rs = np.array([0.25, 0.1, 0.7])
     for t_pt in (0.5, 0.3):
         for p in (Exponent.of(2), Exponent.of(math.inf)):
-            want = _parent_scale_values(table, p, 0.0, -0.5, 0.0, t_pt, t_pt, rs)
+            want = _parent_scale_values(table, p, -0.5, 0.0, t_pt, t_pt, rs)
             assert want.min() > 0.0
-            assert [_scale_value(table, p, 0.0, -0.5, 0.0, t_pt, t_pt, r)
+            assert [_scale_value(table, p, -0.5, 0.0, t_pt, t_pt, r)
                     for r in rs.tolist()] == want.tolist()
 
 
 # ---------------------------------------------------------------------------
-# Sups at q = inf: every block in one chunked pass
+# Sups at q = inf: one interval at a time
 
 
 def _parent_lq_sup(m, f, interval):
@@ -684,7 +659,7 @@ SUP_FUNCTIONS = [tent(-1.0, 1.5), power_function(-0.5, (0.05, 2.0)),
 def test_block_norm_q_inf_equals_the_per_block_sups(m, f):
     # The singular point 0 of the Riesz kernel and the spike's window end
     # 0.05 sit in one block each, the table's breakpoints in several;
-    # 0.013 makes more blocks than one chunk holds.
+    # 0.013 makes many blocks.
     for r, x0 in [(0.013, 0.0), (0.3, 0.37), (0.5, 0.05), (5.0, -0.2)]:
         t0, t_lo, t_hi = m.cdf(x0), m.cdf(f.support.a), m.cdf(f.support.b)
         xs = m.inv_cdf(_block_edges(t0, np.array([r]), t_lo, t_hi)[0])

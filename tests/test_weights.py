@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from amalgam import measure
+from amalgam import measure, weights
 from amalgam.functions import power_function, scaled, table_function
 from amalgam.measure import (IntervalRC, QuadratureError, _interval_integrals,
                              custom_measure, gk_panels, integrate, lebesgue,
                              make_interval, partition, power_measure)
+from amalgam.norms import Exponent
 from amalgam.weights import (
     SubsetSampler,
     _averages,
@@ -541,3 +542,74 @@ def test_scan_equals_the_per_interval_loop():
         assert got.argmax_interval is best_I
         assert (got.interval_count, got.diverging) == (count, diverging)
         assert np.array(got.per_level).tobytes() == np.array(per_level).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a_r_constant and thm21_condition on one two-factor scan
+#
+# The _pre_* functions are the two conditions as they were written before
+# they shared _two_factor, each with its own scan.
+
+
+def _pre_a_r(m, w, r, interval_family=None):
+    wgt = weights._as_weight(w)
+    r = Exponent.of(r)
+    if interval_family is None:
+        interval_family = default_interval_family(m)
+    t_a, t_b = _t_ends(m, interval_family)
+    weights._check_positive(m, wgt.fn, t_a, t_b)
+    avg_w = _averages(m, wgt.fn, t_a, t_b)
+    if r.value == 1.0:
+        second = _ess_sups(m, wgt.powered(-1.0), interval_family)
+    else:
+        w_dual = wgt.powered(-1.0 / (r.value - 1.0))
+        second = _averages(m, w_dual, t_a, t_b) ** (r.value - 1.0)
+    return _scan(interval_family, weights._product(avg_w, second))
+
+
+def _pre_thm21(m, v, q, q1, beta, interval_family=None):
+    vw = weights._as_weight(v)
+    q, q1, beta = Exponent.of(q), Exponent.of(q1), Exponent.of(beta)
+    inv_theta = q1.recip - beta.recip
+    theta = 1.0 / inv_theta
+    if interval_family is None:
+        interval_family = default_interval_family(m)
+    t_a, t_b = _t_ends(m, interval_family)
+    weights._check_positive(m, vw.fn, t_a, t_b)
+    first = _averages(m, vw.powered(theta), t_a, t_b) ** inv_theta
+    gap = q.recip - q1.recip
+    if gap == 0.0:
+        second = _ess_sups(m, vw.powered(-1.0), interval_family)
+    else:
+        second = _averages(m, vw.powered(-1.0 / gap), t_a, t_b) ** gap
+    return _scan(interval_family, weights._product(first, second))
+
+
+def _same_bits(got, want):
+    assert np.float64(got.constant).tobytes() == np.float64(want.constant).tobytes()
+    assert got.argmax_interval == want.argmax_interval
+    assert (got.interval_count, got.diverging) == (want.interval_count, want.diverging)
+    assert np.array(got.per_level).tobytes() == np.array(want.per_level).tobytes()
+
+
+@pytest.mark.parametrize("m, wgt", REF_CASES,
+                         ids=[f"{m!r}-{w.fn.label}" for m, w in REF_CASES])
+def test_two_factor_scan_keeps_the_bits_of_both_conditions(m, wgt):
+    # r = 1 and q = q1 take the essential-sup branch; (1, 1, inf) has
+    # 1/theta = 1, the a_r form of the first factor.
+    fam = small_family(m, centers=8, scales=4)
+    for r in (1, 1.25, 1.5, 2, 3):
+        _same_bits(a_r_constant(m, wgt, r, fam), _pre_a_r(m, wgt, r, fam))
+    for q, q1, beta in ((1, 2, 4), (1.5, 1.5, 6), (1, 1.2, 4), (2, 2, math.inf),
+                        (1, 1, math.inf), (1.25, 3, 5)):
+        _same_bits(thm21_condition(m, wgt, q, q1, beta, fam),
+                   _pre_thm21(m, wgt, q, q1, beta, fam))
+
+
+def test_two_factor_scan_keeps_the_bits_on_the_default_family():
+    w = make_weight({"kind": "power", "b": -0.3})
+    m = power_measure(0.4)
+    for r in (1, 2):
+        _same_bits(a_r_constant(m, w, r), _pre_a_r(m, w, r))
+    for q in (1.5, 2):
+        _same_bits(thm21_condition(m, w, q, 2, 6), _pre_thm21(m, w, q, 2, 6))
