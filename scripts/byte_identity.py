@@ -6,14 +6,16 @@ print byte-identical one-shot query results.
 
 Runs the README's "Byte-identical changes" recipe in each tree (every
 scenario of its `scenarios/` at seeds 0, 7 and 61, and at
-`--grid-scale 2`, with that tree's `src/` on PYTHONPATH) into a
-temporary directory, which it removes.  A fifth sweep, `drop`, runs in
+`--grid-scale 2` and 4, with that tree's `src/` on PYTHONPATH) into a
+temporary directory, which it removes.  The gs-4 sweep is the one whose
+maximal profiles reach 4096 edges inside a support, as a verify at base
+scale 4 does.  A sixth sweep, `drop`, runs in
 both trees on the same files: the six scenarios of DROP_SCENARIOS,
 taken from PARENT_TREE's `scenarios/`, with each one's measure block
 swapped for the drop measure at eps = 1e-2 (DROP_MEASURE: density 1 on
 [-0.3, 0.3], eps beyond +-0.301, |x|^-0.5 tails).  It is the one sweep
 that runs custom tails and density knots, which the CLI's `--measure`
-cannot express.  For each of the five sweeps it prints
+cannot express.  For each of the six sweeps it prints
 `compare_reports.py`'s summary line, then every file that is on one
 side only or differs in its bytes (`report.json`, `report.csv` and
 `sweep_summary.json` alike).
@@ -46,7 +48,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from compare_reports import compare  # noqa: E402
 
 SWEEPS = {"seed0": ["--seed", "0"], "seed7": ["--seed", "7"],
-          "seed61": ["--seed", "61"], "gs2": ["--grid-scale", "2"]}
+          "seed61": ["--seed", "61"], "gs2": ["--grid-scale", "2"],
+          "gs4": ["--grid-scale", "4"]}
 
 # A measure far from doubling (scanned doubling constant about 51) whose
 # growth constant stays at most 2, and the scenarios it was probed on.
@@ -127,7 +130,7 @@ def _write_drop_scenarios(tree: Path, out: Path) -> None:
 
 
 def _run_sweeps(tree: Path, out: Path, drop_dir: Path) -> None:
-    """The four sweeps of the recipe and the drop sweep over drop_dir,
+    """The sweeps of the recipe and the drop sweep over drop_dir,
     run in tree, into out/<name>."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     sweeps = [(name, "scenarios", flags) for name, flags in SWEEPS.items()]

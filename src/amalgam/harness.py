@@ -136,8 +136,14 @@ class Scenario:
 
 
 def _is_number(v) -> bool:
-    """An int or a float of JSON, not a boolean."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or a float of JSON, not a boolean, and finite as a float:
+    JSON reads 1e400 as inf, and an int can be too large for a float."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def parse_scenario(block: dict, name: str = "scenario") -> Scenario:

@@ -11,11 +11,12 @@ neighbouring points, the two ends half a spacing beyond the outer
 points, and the support ends, singular points and breakpoints of f.
 Since the length exponent 1/beta - 1/q is <= 0, cutting an interval
 back to where C moves keeps |f 1_I|_q and cannot lower the value, so
-the search runs over the edges where C moves only: for each right edge
-b a prefix max over the left edges serves every point inside the
-support, and points left or right of it take the point itself as one
-end.  An outer point's best far end moves monotonically with the point
-(the length factor's log-derivative is monotone in the far end), so the
+the search runs over the edges where C moves only.  The points inside
+the support take the pairs of the tiles of 32 x 32 edges that a bound
+cannot rule out, which gives the bits of a pass over every pair, and
+points left or right of it take the point itself as one end.  An
+outer point's best far end moves monotonically with the point (the
+length factor's log-derivative is monotone in the far end), so the
 outer points are a divide and conquer over the points, O(n log n)
 values instead of points x edges.  The edges of a midpoint grid contain
 those of the grid with half its points, so a refined grid's family
@@ -81,8 +82,10 @@ _PROFILE_BATCH = 32
 # rho < 1/2 it is met within _FAR_TERMS terms (_far_bound(1/2, 56) = 2^-56).
 _FAR_TOL = 2.0 ** -56
 _FAR_TERMS = 57
-# Values per block array of maximal_profile's inside-support pass (256 KB).
+# Values per chunk of tiles of maximal_profile's inside-support pass
+# (256 KB), and edges per side of a tile.
 _EDGE_BLOCK = 1 << 15
+_EDGE_TILE = 32
 # Every _COARSE_STRIDE-th table edge is an end of pointwise maximal's
 # coarse start pairs.
 _COARSE_STRIDE = 32
@@ -156,7 +159,8 @@ def make_kernel(spec: dict) -> Kernel:
 
 
 def _pair_values(a, ca, b, cb, k: float, off=0.0):
-    """((cb - ca) + off) (b - a)^k, broadcast; 0 where b <= a."""
+    """((cb - ca) + off) (b - a)^k, broadcast; where b <= a, (b - a)^k
+    is inf^k, which is 0, or 1 at k = 0."""
     d = b - a
     return ((cb - ca) + off) * np.where(d > 0.0, d, np.inf) ** k
 
@@ -333,6 +337,94 @@ def _outer_sups(s: np.ndarray, ends: np.ndarray, pts: np.ndarray,
     return out
 
 
+def _spanning_max(M: np.ndarray) -> np.ndarray:
+    """out[s] = max of M[i, j] over i <= s < j, for s < min(rows, cols - 1):
+    a suffix max over the right ends, then a prefix max over the left."""
+    R = np.maximum.accumulate(M[:, :0:-1], axis=1)[:, ::-1]
+    return np.maximum.accumulate(R, axis=0).diagonal()
+
+
+def _block_ranges(v: np.ndarray, ufunc, fill: float) -> np.ndarray:
+    """R[I, J] = ufunc over v[I..J] for J >= I (fill below the diagonal)."""
+    R = np.where(np.tri(v.size, k=-1, dtype=bool), fill, v)
+    return ufunc.accumulate(R, axis=1)
+
+
+def _inside_sups(E: np.ndarray, C: np.ndarray, k: float) -> np.ndarray:
+    """S[p] = max of (C[b] - C[a]) (E[b] - E[a])^k over edges a <= p <= b,
+    a < b, for every edge p; at least two edges, E ascending, C
+    nondecreasing, k <= 0.
+
+    The edges fall into blocks of _EDGE_TILE, and the pairs into tiles of
+    (left block I, right block J), I <= J.  A lower bound per block is
+    the best pair of block-first edges (or the last edge) that spans the
+    whole block.  A tile's pairs are bounded by
+    U2 = (steepest cell slope over I..J) (longest length)^(1 + k), since
+    a C-difference is at most that slope times its length and 1 + k >= 0,
+    and off the diagonal also by
+    U1 = (C[last of J] - C[first of I]) (shortest length)^k.  A tile
+    whose bound, with 1e-12 of slack for rounding, is at most the lower
+    bound of every block from I to J holds no pair that beats the best
+    one at a point it covers, and is skipped.  A kept tile serves its
+    left block by a prefix max over its row maxima, its right block by a
+    suffix max over its column maxima and every block between by its
+    max; a diagonal tile takes the prefix max over a of each right end's
+    values, up to that end.  Every number in S is a pair value and max
+    is exact, so S has the bits of a pass over every pair.  Tiles are
+    valued in chunks of at most _EDGE_BLOCK values; the bounds take
+    O((n / _EDGE_TILE)^2) values.
+    """
+    n, B = E.size, _EDGE_TILE
+    nb = -(-n // B)
+    first = np.arange(nb) * B
+    last = np.minimum(first + B, n) - 1
+    heads = np.append(first, n - 1)
+    lower = _spanning_max(_pair_values(E[heads, None], C[heads, None],
+                                       E[heads], C[heads], k))
+
+    slope = np.zeros(nb * B)
+    slope[:n - 1] = np.diff(C) / np.diff(E)
+    I, J = np.triu_indices(nb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u1 = np.where(I < J, (C[last[J]] - C[first[I]])
+                      * (E[first[J]] - E[last[I]]) ** k, np.inf)
+    u2 = (_block_ranges(slope.reshape(nb, B).max(axis=1), np.maximum, 0.0)[I, J]
+          * (E[last[J]] - E[first[I]]) ** (1.0 + k))
+    floor = _block_ranges(lower, np.minimum, np.inf)[I, J]
+    keep = ~(np.minimum(u1, u2) * (1.0 + 1e-12) <= floor)
+    I, J = I[keep], J[keep]
+
+    S = np.repeat(lower[:, None], B, axis=1)
+    W = np.zeros((nb, nb))                # kept tile maxima, by (I, J)
+    span = np.arange(B)
+    past = span[:, None] > span           # point past the right end
+    per = max(1, _EDGE_BLOCK // (B * B))
+    for t0 in range(0, I.size, per):
+        ti, tj = I[t0:t0 + per], J[t0:t0 + per]
+        # An end past the last edge is the last edge, so its pairs are
+        # real, and a pair with b <= a is worth at most 0, below the
+        # pair (0, n - 1) at any point as C[n - 1] > C[0]: neither needs
+        # a mask.
+        a = np.minimum(first[ti, None] + span, n - 1)[:, :, None]
+        b = np.minimum(first[tj, None] + span, n - 1)[:, None, :]
+        d = _pair_values(E[a], C[a], E[b], C[b], k)
+        diag = ti == tj
+        if diag.any():
+            dd = np.maximum.accumulate(d[diag], axis=1)
+            dd[:, past] = 0.0
+            np.maximum.at(S, ti[diag], dd.max(axis=2))
+        off = ~diag
+        if off.any():
+            rows, cols = d.max(axis=2)[off], d.max(axis=1)[off]
+            np.maximum.at(S, ti[off], np.maximum.accumulate(rows, axis=1))
+            np.maximum.at(S, tj[off],
+                          np.maximum.accumulate(cols[:, ::-1], axis=1)[:, ::-1])
+            W[ti[off], tj[off]] = rows.max(axis=1)
+    if nb > 2:
+        np.maximum(S[1:-1], _spanning_max(W[:, 1:])[:, None], out=S[1:-1])
+    return S.ravel()[:n]
+
+
 def _edge_sups(E: np.ndarray, C: np.ndarray, k: float) -> np.ndarray:
     """S[p] = max of (C[b] - C[a]) (E[b] - E[a])^k over edges a <= p <= b,
     a < b, for every edge p; E ascending, C nondecreasing, k <= 0.
@@ -341,14 +433,13 @@ def _edge_sups(E: np.ndarray, C: np.ndarray, k: float) -> np.ndarray:
     the same C-difference is worth at least as much, so an interval may
     be cut back to [i0, i1] wherever the cut still contains p: a point
     inside takes a, b in [i0, i1], a point left of i0 takes a = p and a
-    point right of i1 takes b = p.  The inside points take, for each
-    right edge b, the prefix max over a of that row; a block of right
-    edges is one (rows, edges) array.  The outer points take the best
-    far end (_outer_sups), which moves monotonically with the point: the
-    further the point from the support, the less the length factor
-    |p - e|^k tells the far ends apart, and the further out (the larger
-    the C-difference) its best far end.  So a divide and conquer over
-    the points finds every best far end in O(n log n) values.
+    point right of i1 takes b = p.  The inside points take the pairs of
+    the tiles that a bound cannot rule out (_inside_sups).  The outer
+    points take the best far end (_outer_sups), which moves monotonically
+    with the point: the further the point from the support, the less the
+    length factor |p - e|^k tells the far ends apart, and the further out
+    (the larger the C-difference) its best far end.  So a divide and
+    conquer over the points finds every best far end in O(n log n) values.
     """
     S = np.zeros(E.size)
     i0 = int(np.searchsorted(C, C[0], side="right")) - 1
@@ -357,21 +448,7 @@ def _edge_sups(E: np.ndarray, C: np.ndarray, k: float) -> np.ndarray:
         return S
     S[:i0] = _outer_sups(C[i0 + 1:i1 + 1] - C[i0], E[i0 + 1:i1 + 1], E[:i0], k)
     S[i1 + 1:] = _outer_sups(C[i1] - C[i0:i1], E[i0:i1], E[i1 + 1:], k)
-    rows = max(1, min(i1 - i0, _EDGE_BLOCK // (i1 + 1 - i0)))
-    below = np.tri(rows, rows, -1, dtype=bool)   # a < b in the last columns
-    upto = np.tri(rows, rows, 0, dtype=bool)     # p <= b in the last columns
-    for b0 in range(i0 + 1, i1 + 1, rows):
-        b1 = min(b0 + rows, i1 + 1)
-        n = b1 - b0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = E[b0:b1, None] - E[i0:b1]
-            d **= k
-            d *= C[b0:b1, None] - C[i0:b1]
-        tail = d[:, b0 - i0:]
-        tail[~below[:n, :n]] = 0.0
-        np.maximum.accumulate(d, axis=1, out=d)
-        tail[~upto[:n, :n]] = 0.0
-        np.maximum(S[i0:b1], d.max(axis=0), out=S[i0:b1])
+    S[i0:i1 + 1] = _inside_sups(E[i0:i1 + 1], C[i0:i1 + 1], k)
     return S
 
 
@@ -392,8 +469,12 @@ def maximal_profile(m: RadonMeasure, f: RealFunction, q, beta,
     With C the table's cumulative integral at the edges, an interval is
     worth (C[b] - C[a])^(1/q) (b - a)^(1/beta - 1/q), and the exponent of
     the length is <= 0: cutting an interval back to where C moves keeps
-    its integral and cannot lower its value (_edge_sups).  The sup is
-    compared as (C[b] - C[a]) (b - a)^(q/beta - 1), whose 1/q power it
+    its integral and cannot lower its value (_edge_sups).  Inside f's
+    support the pairs are valued by tiles of (left block, right block) of
+    edges, and a tile is skipped where its bound is at most the best
+    spanning pair of block-first edges at every point it covers; the
+    values are the bits of a pass over every pair (_inside_sups).  The sup
+    is compared as (C[b] - C[a]) (b - a)^(q/beta - 1), whose 1/q power it
     is.  NaN points give NaN, infinite points the limit over unbounded
     intervals, and a table whose total is not finite gives NaN
     everywhere.

@@ -127,6 +127,30 @@ def test_a_boolean_or_a_negative_seed_is_a_config_error(tmp_path, capsys, stem, 
     assert capsys.readouterr().err.startswith(f"config error: {stem}: ")
 
 
+@pytest.mark.parametrize("literal", ["1" + "0" * 400, "1e400"], ids=["int", "1e400"])
+@pytest.mark.parametrize("stem, path, match", [
+    ("cor24_lebesgue", ("exponents", "q"), r"exponents\.q must be a number or 'inf'"),
+    ("steinweiss_a25", ("exponents", "gamma"), r"exponents\.gamma must be a number"),
+    ("cor24_lebesgue", ("window_mass",), r"field 'window_mass' must be a positive number"),
+], ids=["q", "gamma", "window_mass"])
+def test_a_number_too_large_for_a_float_is_a_config_error(tmp_path, capsys, stem, path,
+                                                          match, literal):
+    # An int past the float range once raised OverflowError (exit 1), and
+    # 1e400, read as inf, passed as a window mass to fail a tail gate.
+    block = json.loads(Path(f"scenarios/{stem}.json").read_text())
+    *outer, key = path
+    inner = block
+    for k in outer:
+        inner = inner[k]
+    inner[key] = "@"
+    p = tmp_path / f"{stem}.json"
+    p.write_text(json.dumps(block).replace('"@"', literal))
+    with pytest.raises(ConfigError, match=rf"^{stem}: {match}$"):
+        run_scenario(load_scenario(p))
+    assert main(["verify", "--scenario", str(p)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {stem}: ")
+
+
 def test_load_scenario_reports_json_position(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"target": "cor23",\n  "measure": }\n')

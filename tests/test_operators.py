@@ -629,6 +629,98 @@ def test_outer_sups_sweep_size():
                               _dense_outer_sups(s, ends, pts, -0.75))
 
 
+def _dense_inside_sups(E, C, k):
+    """Every pair a < b of the edges, one block of right edges at a time:
+    for each right edge the prefix max over the left edges, up to it."""
+    n = E.size
+    S = np.zeros(n)
+    rows = max(1, min(n - 1, operators._EDGE_BLOCK // n))
+    below = np.tri(rows, rows, -1, dtype=bool)   # a < b in the last columns
+    upto = np.tri(rows, rows, 0, dtype=bool)     # p <= b in the last columns
+    for b0 in range(1, n, rows):
+        b1 = min(b0 + rows, n)
+        m = b1 - b0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = E[b0:b1, None] - E[:b1]
+            d **= k
+            d *= C[b0:b1, None] - C[:b1]
+        tail = d[:, b0:]
+        tail[~below[:m, :m]] = 0.0
+        np.maximum.accumulate(d, axis=1, out=d)
+        tail[~upto[:m, :m]] = 0.0
+        np.maximum(S[:b1], d.max(axis=0), out=S[:b1])
+    return S
+
+
+def _inside(E, C):
+    """The edges from where C first moves to where it stops, and their C."""
+    i0 = int(np.searchsorted(C, C[0], side="right")) - 1
+    i1 = int(np.searchsorted(C, C[-1], side="left"))
+    return E[i0:i1 + 1], C[i0:i1 + 1]
+
+
+def _assert_inside_matches_dense(E, C, k):
+    E, C = _inside(E, C)
+    assert np.array_equal(operators._inside_sups(E, C, k),
+                          _dense_inside_sups(E, C, k))
+
+
+TILE = operators._EDGE_TILE
+INSIDE_K = [0.0, -1e-3, -0.5, -0.75, -1.0]
+
+
+@pytest.mark.parametrize("k", INSIDE_K)
+@pytest.mark.parametrize("ties", [0.0, 0.5, 0.9])
+def test_inside_sups_match_dense(ties, k):
+    # Bit for bit, over inside runs of one to 1100 cells, across one, two
+    # and many tiles, with full and part last blocks.
+    for seed, cells in enumerate([1, TILE - 2, TILE - 1, TILE, TILE + 1, 300, 1100]):
+        rng = np.random.default_rng(seed)
+        E = np.cumsum(rng.uniform(0.01, 1.0, cells + 5)) * 10.0 ** rng.integers(-6, 4)
+        steps = rng.exponential(1.0, cells + 5) * (rng.random(cells + 5) >= ties)
+        steps[:3] = steps[cells + 3:] = 0.0
+        steps[3] = steps[cells + 2] = 1.0
+        C = np.cumsum(steps)
+        assert _inside(E, C)[0].size == cells + 1
+        _assert_inside_matches_dense(E, C, k)
+        S = operators._edge_sups(E, C, k)
+        assert np.array_equal(S[2:cells + 3], _dense_inside_sups(E[2:cells + 3],
+                                                                 C[2:cells + 3], k))
+
+
+@pytest.mark.parametrize("q, beta", [(1, math.inf), (2, 3), (1.5, 2), (2, 2)])
+@pytest.mark.parametrize("f", MAXIMAL_FUNCTIONS, ids=lambda f: f.label)
+@pytest.mark.parametrize("m", PROFILE_MEASURES[:2], ids=repr)
+def test_inside_sups_match_dense_on_suite_tables(m, f, q, beta):
+    # maximal_profile's edges and C for a 2048-point grid over the support
+    # and beyond, as a sweep's doubled grid of a narrow support has them.
+    q, beta = Exponent.of(q), Exponent.of(beta)
+    table = LqTable(m, f, q)
+    t_lo, t_hi = (float(m.cdf(x)) for x in (f.support.a, f.support.b))
+    ts = np.linspace(t_lo - 0.5 * (t_hi - t_lo), t_hi + 0.5 * (t_hi - t_lo), 2048)
+    E = operators._profile_edges(m, f, table, ts)
+    C = np.maximum.accumulate(np.interp(E, table.t_edges, table.cum))
+    k = 0.0 if beta.recip == q.recip else q.value * beta.recip - 1.0
+    assert _inside(E, C)[0].size > 1000
+    _assert_inside_matches_dense(E, C, k)
+
+
+@pytest.mark.parametrize("k", INSIDE_K)
+@pytest.mark.parametrize("at", [1, TILE, 5 * TILE + 7, 299])
+def test_inside_sups_one_steep_cell(at, k):
+    # One cell 1e6 times steeper than the rest leaves the slope bound of
+    # every tile over it loose; the length bound and the kept tiles must
+    # still find each point's best pair.  At TILE the cell joins two
+    # blocks, so the slope bound of a tile must count the cells between
+    # its blocks.
+    rng = np.random.default_rng(at)
+    E = np.cumsum(rng.uniform(0.5, 1.0, 300))
+    steps = rng.uniform(0.5, 1.0, 300)
+    steps[0] = 0.0
+    steps[at] = 1e6 * (E[at] - E[at - 1])
+    _assert_inside_matches_dense(E, np.cumsum(steps), k)
+
+
 def test_maximal_profile_zero_function():
     xs = np.array([-1.0, 0.5, 3.0])
     assert np.array_equal(maximal_profile(LEB, ZERO, 1, math.inf, xs), np.zeros(3))
