@@ -17,8 +17,11 @@ cannot rule out, which gives the bits of a pass over every pair, and
 points left or right of it take the point itself as one end.  An
 outer point's best far end moves monotonically with the point (the
 length factor's log-derivative is monotone in the far end), so the
-outer points are a divide and conquer over the points, O(n log n)
-values instead of points x edges.  The edges of a midpoint grid contain
+outer points take a two-level blocked search: every B-th point, B about
+2 sqrt(points), over every far end, then the points between two samples
+over the far ends that the samples' best ends bound, about
+(points / B + B) x edges values in a fixed number of array passes
+instead of points x edges.  The edges of a midpoint grid contain
 those of the grid with half its points, so a refined grid's family
 holds every coarser interval.
 
@@ -52,6 +55,7 @@ is exactly 0 at a point farther than its reach from the support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -82,8 +86,8 @@ _PROFILE_BATCH = 32
 # rho < 1/2 it is met within _FAR_TERMS terms (_far_bound(1/2, 56) = 2^-56).
 _FAR_TOL = 2.0 ** -56
 _FAR_TERMS = 57
-# Values per chunk of tiles of maximal_profile's inside-support pass
-# (256 KB), and edges per side of a tile.
+# Values per chunk of maximal_profile's inside-support tiles and of its
+# outer points' search (256 KB), and edges per side of a tile.
 _EDGE_BLOCK = 1 << 15
 _EDGE_TILE = 32
 # Every _COARSE_STRIDE-th table edge is an end of pointwise maximal's
@@ -302,38 +306,51 @@ def _outer_sups(s: np.ndarray, ends: np.ndarray, pts: np.ndarray,
     s > 0 and k <= 0.  Then the first argmax i(p) is nonincreasing in p:
     for i < j the log-ratio of the values of j and i is log(s[j]/s[i])
     plus a term with derivative k [1/|p - ends[i]| - 1/|p - ends[j]|]
-    <= 0 in p.  So a divide and conquer over the points values the middle
-    point of each open range over its column window, and the points
-    below it search [argmax, hi], those above it [lo, argmax]; one level
-    of every range is one flat array.  Each value is the one a dense
-    (ends, points) array would hold, in the same operation order.  Where
-    rounding turns a near-tie across a window split, a max can come out
-    a few ulps lower (seen in random tests at k = -1e-12, never at the
-    suite's k in [-0.75, -0.5] or at k = -1e-3).  O((points + ends) log
-    points) values.
+    <= 0 in p.  So a two-level blocked search values every B-th point
+    and the last, B = max(16, 2 isqrt(points)), over every end and takes
+    each sample's first argmax; the points between two samples search
+    the column window that the two argmaxes bound.  The samples go in
+    blocks of rows and the runs in one flat array, in chunks of about
+    _EDGE_BLOCK values.  Each value is the one a dense (ends, points)
+    array would hold, in the same operation order.  Where rounding turns
+    a near-tie at a sample, a window can miss a point's best end by that
+    tie and its max comes out a few ulps lower (seen in random tests at
+    k = -1e-12 with tied runs of s, never at the suite's k in
+    [-0.75, -0.5] or at k = -1e-3).  At most about (points / B + B) x
+    ends + points values, in a fixed number of array passes.
     """
-    out = np.zeros(pts.size)
-    if pts.size == 0:
+    n, m = pts.size, s.size
+    out = np.zeros(n)
+    if n == 0:
         return out
-    rlo, rhi = np.array([0]), np.array([pts.size])      # open point ranges
-    clo, chi = np.array([0]), np.array([s.size - 1])    # their column windows
-    while rlo.size:
-        mid = (rlo + rhi) // 2
-        width = chi - clo + 1
-        start = np.cumsum(width) - width
-        cols = np.arange(start[-1] + width[-1]) - np.repeat(start - clo, width)
-        d = np.abs(np.repeat(pts[mid], width) - ends[cols])
+    smp = np.append(np.arange(0, n - 1, max(16, 2 * math.isqrt(n))), n - 1)
+    best = np.empty(smp.size, np.intp)
+    per = max(1, _EDGE_BLOCK // m)
+    for r in range(0, smp.size, per):
+        d = np.abs(pts[smp[r:r + per], None] - ends)
+        d **= k
+        d *= s
+        best[r:r + per] = i = d.argmax(axis=1)
+        out[smp[r:r + per]] = d[np.arange(i.size), i]
+    # The points between samples j and j + 1 search the ends between
+    # best[j + 1] and best[j]; min and max keep a rounded window whole.
+    run = np.repeat(np.arange(smp.size - 1), np.diff(smp) - 1)
+    idx = np.delete(np.arange(n), smp)
+    lo = np.minimum(best[run], best[run + 1])
+    width = np.maximum(best[run], best[run + 1]) - lo + 1
+    stop = np.cumsum(width)
+    a = 0
+    while a < idx.size:
+        base = stop[a] - width[a]
+        b = max(a + 1, int(np.searchsorted(stop, base + _EDGE_BLOCK, "right")))
+        w = width[a:b]
+        start = stop[a:b] - w - base
+        cols = np.arange(stop[b - 1] - base) - np.repeat(start - lo[a:b], w)
+        d = np.abs(np.repeat(pts[idx[a:b]], w) - ends[cols])
         d **= k
         d *= s[cols]
-        top = np.maximum.reduceat(d, start)
-        out[mid] = top
-        hit = np.where(d == np.repeat(top, width), cols, s.size)
-        best = np.minimum.reduceat(hit, start)
-        below, above = rlo < mid, mid + 1 < rhi
-        rlo = np.concatenate([rlo[below], mid[above] + 1])
-        rhi = np.concatenate([mid[below], rhi[above]])
-        clo = np.concatenate([best[below], clo[above]])
-        chi = np.concatenate([chi[below], best[above]])
+        out[idx[a:b]] = np.maximum.reduceat(d, start)
+        a = b
     return out
 
 
@@ -438,8 +455,10 @@ def _edge_sups(E: np.ndarray, C: np.ndarray, k: float) -> np.ndarray:
     points take the best far end (_outer_sups), which moves monotonically
     with the point: the further the point from the support, the less the
     length factor |p - e|^k tells the far ends apart, and the further out
-    (the larger the C-difference) its best far end.  So a divide and
-    conquer over the points finds every best far end in O(n log n) values.
+    (the larger the C-difference) its best far end.  So a search that
+    values every B-th point (B about 2 sqrt(points)) over every far end
+    bounds the far ends of the points between, and finds every best far
+    end in about (points / B + B) x far ends values.
     """
     S = np.zeros(E.size)
     i0 = int(np.searchsorted(C, C[0], side="right")) - 1

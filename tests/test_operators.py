@@ -573,6 +573,14 @@ def _dense_outer_sups(s, ends, pts, k):
     return d.max(axis=0, initial=0.0)
 
 
+def _outer_args(E, C):
+    """The two _outer_sups calls of _edge_sups on edges E with cumulative C."""
+    i0 = int(np.searchsorted(C, C[0], side="right")) - 1
+    i1 = int(np.searchsorted(C, C[-1], side="left"))
+    return [(C[i0 + 1:i1 + 1] - C[i0], E[i0 + 1:i1 + 1], E[:i0]),
+            (C[i1] - C[i0:i1], E[i0:i1], E[i1 + 1:])]
+
+
 def _outer_calls(seed, n, ties, support=None):
     """The two _outer_sups calls of _edge_sups on n random edges, with C
     moving first at edge a + 1 and last at edge b, (a, b) = support or
@@ -583,11 +591,27 @@ def _outer_calls(seed, n, ties, support=None):
     a, b = support or sorted(rng.choice(n, 2, replace=False))
     steps[:a + 1] = steps[b + 1:] = 0.0
     steps[a + 1] = steps[b] = 1.0
-    C = np.cumsum(steps)
-    i0 = int(np.searchsorted(C, C[0], side="right")) - 1
-    i1 = int(np.searchsorted(C, C[-1], side="left"))
-    return [(C[i0 + 1:i1 + 1] - C[i0], E[i0 + 1:i1 + 1], E[:i0]),
-            (C[i1] - C[i0:i1], E[i0:i1], E[i1 + 1:])]
+    return _outer_args(E, np.cumsum(steps))
+
+
+def _outer_case(seed, points, ends, ties):
+    """A left call of `points` points and `ends` ends, s nondecreasing with
+    a share `ties` of tied steps, and its mirror image, a right call."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-6, 4)
+    e = np.cumsum(rng.uniform(0.01, 1.0, ends)) * scale
+    p = -np.cumsum(rng.uniform(0.01, 1.0, points))[::-1] * scale
+    steps = rng.exponential(1.0, ends) * (rng.random(ends) >= ties)
+    steps[0] = 1.0
+    s = np.cumsum(steps)
+    return [(s, e, p), (s[::-1], -e[::-1], -p[::-1])]
+
+
+def _assert_outer_matches_dense(s, ends, pts, k):
+    # The dense reference in slices of points, to keep its array small.
+    dense = np.concatenate([_dense_outer_sups(s, ends, pts[i:i + 256], k)
+                            for i in range(0, pts.size, 256)])
+    assert np.array_equal(operators._outer_sups(s, ends, pts, k), dense)
 
 
 OUTER_K = [0.0, -1e-3, -0.5, -1.0, -3.0]
@@ -627,6 +651,97 @@ def test_outer_sups_sweep_size():
     for s, ends, pts in calls:
         assert np.array_equal(operators._outer_sups(s, ends, pts, -0.75),
                               _dense_outer_sups(s, ends, pts, -0.75))
+
+
+# Point counts at the edges of the blocked search, whose sample stride
+# is max(16, 2 isqrt(points)): one run holds every point below two
+# strides; then a multiple of the stride (34 at 306 points, 62 at 992)
+# and one either side, and a last run of no point and of one point.
+OUTER_SIZES = [1, 2, 3, 15, 16, 17, 18, 19,
+               *(B * j + e for B, j in [(34, 9), (62, 16)] for e in range(-1, 4))]
+
+
+@pytest.mark.parametrize("k", OUTER_K)
+@pytest.mark.parametrize("ties", [0.0, 0.9])
+def test_outer_sups_match_dense_at_block_edges(ties, k):
+    for n in OUTER_SIZES:
+        for ends in (1, 7, 200):
+            for s, e, p in _outer_case(n + ends, n, ends, ties):
+                _assert_outer_matches_dense(s, e, p, k)
+
+
+@pytest.mark.parametrize("at, k", [*(("first", k) for k in OUTER_K),
+                                   ("middle", 0.0), ("last", 0.0)])
+def test_outer_sups_windows_of_width_one(at, k):
+    # One end wins at every point, so every sample's argmax is that end
+    # and every run searches a window of one column.  The nearest end
+    # wins at any k when its s is the largest; any end does at k = 0.
+    rng = np.random.default_rng(5)
+    e = np.cumsum(rng.uniform(0.5, 1.0, 50))
+    p = -np.cumsum(rng.uniform(0.5, 1.0, 1000))[::-1]
+    j = {"first": 0, "middle": 25, "last": 49}[at]
+    s = rng.uniform(0.5, 1.0, 50)
+    s[j] = 2.0
+    d = np.abs(p - e[:, None]) ** k * s[:, None]
+    assert (d.argmax(axis=0) == j).all()
+    for args in [(s, e, p), (s[::-1], -e[::-1], -p[::-1])]:
+        _assert_outer_matches_dense(*args, k)
+
+
+@pytest.mark.parametrize("q, beta", [(1, math.inf), (2, 3), (1.5, 2), (2, 2)])
+@pytest.mark.parametrize("f", MAXIMAL_FUNCTIONS, ids=lambda f: f.label)
+@pytest.mark.parametrize("m", PROFILE_MEASURES[:2], ids=repr)
+def test_outer_sups_match_dense_on_suite_tables(m, f, q, beta):
+    # maximal_profile's edges and C for a 2048-point grid over the support
+    # and beyond, with twice as many points left of it as right of it.
+    q, beta = Exponent.of(q), Exponent.of(beta)
+    table = LqTable(m, f, q)
+    t_lo, t_hi = (float(m.cdf(x)) for x in (f.support.a, f.support.b))
+    ts = np.linspace(t_lo - 2.0 * (t_hi - t_lo), t_hi + (t_hi - t_lo), 2048)
+    E = operators._profile_edges(m, f, table, ts)
+    C = np.maximum.accumulate(np.interp(E, table.t_edges, table.cum))
+    k = 0.0 if beta.recip == q.recip else q.value * beta.recip - 1.0
+    calls = _outer_args(E, C)
+    assert calls[0][2].size > 1000 and calls[1][2].size > 500
+    for s, ends, pts in calls:
+        _assert_outer_matches_dense(s, ends, pts, k)
+
+
+def test_outer_sups_gs4_size_stays_small():
+    # About 8,650 points left of 4,096 support edges and 1,000 right of
+    # them, the sizes of the largest outer calls at base scale 4: bit for
+    # bit, with the temporaries held near _EDGE_BLOCK values each.
+    import tracemalloc
+    calls = _outer_calls(11, 13747, 0.5, support=(8650, 12746))
+    assert [c[2].size for c in calls] == [8650, 1000]
+    assert [c[0].size for c in calls] == [4096, 4096]
+    for s, ends, pts in calls:
+        _assert_outer_matches_dense(s, ends, pts, -0.75)
+        tracemalloc.start()
+        try:
+            operators._outer_sups(s, ends, pts, -0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0])
+def test_outer_sups_near_ties_stay_within_a_few_ulps(scale):
+    # At k = -1e-12 the values of a tied run of s can differ by about one
+    # ulp, and rounding can put a sample's first argmax on the wrong side of
+    # such a tie.  Every value is then still some end's value, at most
+    # the dense max, and a few ulps from it.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        e = np.cumsum(rng.uniform(0.01, 1.0, 300)) * scale
+        p = -np.cumsum(rng.uniform(0.01, 1.0, 2000))[::-1] * scale
+        s = np.repeat(np.cumsum(rng.exponential(1.0, 10)), 30)
+        for args in [(s, e, p), (s[::-1], -e[::-1], -p[::-1])]:
+            got = operators._outer_sups(*args, -1e-12)
+            dense = _dense_outer_sups(*args, -1e-12)
+            assert (got <= dense).all()
+            assert (dense - got <= 4 * np.spacing(dense)).all()
 
 
 def _dense_inside_sups(E, C, k):
