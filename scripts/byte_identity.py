@@ -26,13 +26,14 @@ README's CLI examples, its `verify` without `--out`, `cover --random
 `weight` queries (one at r = 1, the essential-sup branch), a `potential`
 at tol 1e-12, `maximal` at beta = 2 and inf and `norm` at p = 2 and
 inf of tents on Lebesgue and a power measure, and two sups at q = inf:
-`maximal` of a tent and `norm` at p = alpha = inf of a spike) and
-prints one summary line, then every query whose stdout or exit code
-differs.  Together they reach every caller of the G-K bisection driver
-(measure._bisect).
+`maximal` of a tent and `norm` at p = alpha = inf of a spike, and a
+`verify` of each `reject_*` scenario, whose rejection message goes to
+stderr) and prints one summary line, then every query whose stdout,
+stderr or exit code differs.  Together they reach every caller of the
+G-K bisection driver (measure._bisect).
 
-Exits 1 on any byte difference in a report or a query's stdout, 2 if a
-sweep could not run, else 0.
+Exits 1 on any byte difference in a report or a query's stdout or
+stderr, 2 if a sweep could not run, else 0.
 """
 
 import argparse
@@ -108,16 +109,19 @@ QUERIES = [
      "--beta", "inf", "--x", "0.3"],
     ["norm", "--measure", "lebesgue", "--function", "power:-0.5:0.05:2", "--q", "1",
      "--p", "inf", "--alpha", "inf"],
+    # rejections: exit 2 and the relation's message on stderr
+    *[["verify", "--scenario", f"scenarios/reject_{stem}.json"]
+      for stem in ("cor23_window", "prop41_order", "thm21_p1")],
 ]
 
 
-def _run_queries(tree: Path) -> list[tuple[int, str]]:
-    """(exit code, stdout) of each query of QUERIES, run in tree."""
+def _run_queries(tree: Path) -> list[tuple[int, str, str]]:
+    """(exit code, stdout, stderr) of each query of QUERIES, run in tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     runs = [subprocess.run([sys.executable, "-m", "amalgam", *query], cwd=tree,
                            env=env, capture_output=True, text=True)
             for query in QUERIES]
-    return [(run.returncode, run.stdout) for run in runs]
+    return [(run.returncode, run.stdout, run.stderr) for run in runs]
 
 
 def _write_drop_scenarios(tree: Path, out: Path) -> None:

@@ -2,9 +2,9 @@
 
 A scenario is a JSON block naming a target inequality plus the measure,
 function family, weight, kernel and exponents it should be tested with.
-Each target has a gate, which checks the hypothesis block (bad
-parameters are rejected before any numerics) and builds the measure,
-kernel and grids, and an evaluator, which turns one function into rows.
+Each target's exponents are checked against TARGET_RELATIONS first; its
+gate then checks the other blocks and builds the measure, kernel and
+grids, and its evaluator turns one function into rows.
 One driver owns the rest: the family loop, the homogeneity probe, the
 empirical constant, the argmax witness and the verdict.  Reports
 serialize deterministically, so two runs with the same scenario and
@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,18 +45,70 @@ from .weights import (SubsetSampler, Weight, a_infty_epsilon_delta,
 
 TOOL_VERSION = "0.1.0"
 
+# Each target's exponent hypotheses, checked in order before its gate
+# builds anything.  A relation is (chain, message): terms joined by "<="
+# or "<".  A term is an exponent's name, read as its reciprocal ("q" is
+# 1/q, but "a" and "gamma" are values), a number, or a compound: (x, y)
+# is x - y, (x, "/", y) is x / y.  Plain terms compare exactly, as the
+# operators do; a link with a compound has a slack of _EPS (relative) in
+# "<=" and needs a margin above _EPS in "<".  (name, "=", term) with no
+# message defines the exponent 1/name = term.
+_GA = (("gamma", "a"), "/", (1, "a"))
+_BETA_GT_1 = ((0, "<", (1, "beta")), "beta must exceed 1, got {beta:g}")
+_ALPHA_LT_BETA = (("beta", "<", "alpha"), "need alpha < beta")
+_Q_LE_ALPHA = (("alpha", "<=", "q"), "need q <= alpha")
+_GAP = ((0, "<", ("q", "beta")), "need 1/q - 1/beta > 0")
+_GAP_P_ALPHA = ((("q", "beta"), "<=", "p", "<=", "alpha"),
+                "need 1/q - 1/beta <= 1/p <= 1/alpha")
+_P_FROM_GAP = (("p", "=", ("q", "beta")), None)
+_THM21 = ((("beta", "<=", "alpha", "<=", "q"), "need q <= alpha <= beta"),
+          (("q1", "<=", "q"), "need q <= q1"),
+          (("p1", "<=", "alpha1", "<=", "q1"), "need q1 <= alpha1 <= p1"),
+          ((0, "<", ("q1", "beta")), "need 1/q1 - 1/beta > 0"))
+_THM21_PART1 = _THM21 + (((("q1", "beta"), "<=", "p1"), "need 1/q1 - 1/beta <= 1/p1"),)
+_PROP41 = (((0, "<", "a", "<", "gamma", "<", 1), "need 0 < a < gamma < 1"),
+           ((_GA, "<", "alpha"), "need alpha < (1 - a)/(gamma - a)"))
+TARGET_RELATIONS = {
+    "thm21_part1": _THM21_PART1,
+    "thm21_part2": _THM21_PART1 + (
+        (("beta", "<", "alpha"), "part 2 needs alpha < beta"),),
+    "cor23": (_ALPHA_LT_BETA, _Q_LE_ALPHA, _GAP, _GAP_P_ALPHA),
+    "cor24": (_ALPHA_LT_BETA, (("alpha", "<", "q"), "need q < alpha")),
+    "thm31_goodlambda": (_GAP, _P_FROM_GAP, (
+        ("p", "<=", "alpha", "<=", "q"), "need q <= alpha <= p with 1/p = 1/q - 1/beta")),
+    "lem32": (_GAP, _P_FROM_GAP),
+    "lem33": ((("beta", "<=", "q"), "need q <= beta"), _BETA_GT_1),
+    "prop34": (_BETA_GT_1, _THM21[0], _ALPHA_LT_BETA) + _THM21[1:],
+    "cor35": (_BETA_GT_1, _Q_LE_ALPHA, _ALPHA_LT_BETA, _GAP_P_ALPHA),
+    "cor36": (_BETA_GT_1, (("alpha", "<", 1), "need alpha > 1, got {alpha:g}"),
+              ((0, "<", "beta"), "need beta < inf"), _ALPHA_LT_BETA,
+              ((("alpha", "beta"), "<", "alpha"), "empty admissible (q, p) window"),
+              ((("alpha", "beta"), "<", (1, "beta")), "empty admissible (q, p) window")),
+    "prop41": _PROP41 + (_Q_LE_ALPHA, ((("q", _GA), "<=", "p", "<=", "alpha"),
+                                       "need 1/theta <= 1/p <= 1/alpha")),
+    "steinweiss": _PROP41 + (
+        (("alpha", "<", 1), "the closing inequality needs alpha > 1"),),
+    "norm_properties": ((("p", "<=", "alpha", "<=", "q"),
+                         "need q <= alpha <= p for a nontrivial space"),),
+    "covering_trials": ()}
+
+
+def _reads(relations) -> tuple:
+    """The exponents relations read from a scenario, in order of first use."""
+    def names(term):
+        if isinstance(term, tuple):
+            return names(term[0]) + names(term[-1])
+        return [term] if isinstance(term, str) else []
+
+    defined = {chain[0] for chain, _ in relations if chain[1] == "="}
+    read = (n for chain, _ in relations for term in chain[::2] for n in names(term))
+    return tuple(dict.fromkeys(n for n in read if n not in defined))
+
+
 # The exponents each target reads; eta is optional for prop41 and
 # steinweiss, which check it against the value they derive.
-_THM21 = ("q", "alpha", "beta", "q1", "alpha1", "p1")
-_PROP41 = ("a", "gamma", "alpha", "eta")
-TARGET_EXPONENTS = {
-    "thm21_part1": _THM21, "thm21_part2": _THM21,
-    "cor23": ("q", "alpha", "beta", "p"), "cor24": ("q", "alpha", "beta"),
-    "thm31_goodlambda": ("q", "alpha", "beta"), "lem32": ("q", "beta"),
-    "lem33": ("q", "beta"), "prop34": _THM21,
-    "cor35": ("q", "alpha", "beta", "p"), "cor36": ("alpha", "beta"),
-    "prop41": _PROP41 + ("q", "p"), "steinweiss": _PROP41,
-    "norm_properties": ("q", "p", "alpha"), "covering_trials": ()}
+TARGET_EXPONENTS = {t: _reads(rel) + (("eta",) if t in ("prop41", "steinweiss") else ())
+                    for t, rel in TARGET_RELATIONS.items()}
 TARGETS = tuple(TARGET_EXPONENTS)
 
 DEFAULT_SAMPLES = 4096
@@ -101,12 +154,6 @@ class NumericalFailure(RuntimeError):
 def _require(cond: bool, msg: str):
     if not cond:
         raise HypothesisRejected(msg)
-
-
-def _le(*vals: float) -> bool:
-    """Tolerant vals[0] <= vals[1] <= ... for derived reciprocals
-    (1/q - 1/beta and friends)."""
-    return all(a <= b + _EPS * max(1.0, abs(a), abs(b)) for a, b in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +259,50 @@ def load_scenario(path) -> Scenario:
 # instantiation and common gating
 
 
-def _exponent(scn: Scenario, key: str) -> Exponent:
-    if key not in scn.exponents:
-        raise ConfigError(f"{scn.name}: target {scn.target!r} needs exponents.{key}")
-    v = scn.exponents[key]
-    if not (_is_number(v) or isinstance(v, str)):
-        raise ConfigError(f"{scn.name}: exponents.{key} must be a number or 'inf'")
-    try:
-        return Exponent.of(v)
-    except ValueError as e:
-        raise ConfigError(f"{scn.name}: exponents.{key}: {e}") from e
+def _value(term, ex: dict) -> float:
+    """A term of TARGET_RELATIONS over the exponents ex."""
+    if isinstance(term, tuple):
+        lo, hi = _value(term[0], ex), _value(term[-1], ex)
+        return lo / hi if len(term) == 3 else lo - hi
+    if isinstance(term, str):
+        return ex[term].recip if isinstance(ex[term], Exponent) else ex[term]
+    return float(term)
 
 
-def _real_param(scn: Scenario, key: str) -> float:
-    if key not in scn.exponents:
-        raise ConfigError(f"{scn.name}: target {scn.target!r} needs exponents.{key}")
-    v = scn.exponents[key]
-    if not _is_number(v):
-        raise ConfigError(f"{scn.name}: exponents.{key} must be a number")
-    return float(v)
+def _holds(lo, op: str, hi, ex: dict) -> bool:
+    """One link of a relation chain, by TARGET_RELATIONS' comparison rule."""
+    a, b = _value(lo, ex), _value(hi, ex)
+    if isinstance(lo, tuple) or isinstance(hi, tuple):
+        return a <= b + _EPS * max(1.0, abs(a), abs(b)) if op == "<=" else b - a > _EPS
+    return a <= b if op == "<=" else a < b
+
+
+def _exponents(scn: Scenario) -> SimpleNamespace:
+    """Every exponent the target reads (eta only when given): a and gamma
+    as reals, the rest as Exponents, plus those its relations define.
+    Each relation of TARGET_RELATIONS is checked, in order, first."""
+    ex = {}
+    for key in TARGET_EXPONENTS[scn.target]:
+        if key not in scn.exponents:
+            if key == "eta":
+                continue
+            raise ConfigError(f"{scn.name}: target {scn.target!r} needs exponents.{key}")
+        v, real = scn.exponents[key], key in ("a", "gamma")
+        if not (_is_number(v) or (isinstance(v, str) and not real)):
+            raise ConfigError(f"{scn.name}: exponents.{key} must be a number"
+                              + ("" if real else " or 'inf'"))
+        try:
+            ex[key] = float(v) if real else Exponent.of(v)
+        except ValueError as e:
+            raise ConfigError(f"{scn.name}: exponents.{key}: {e}") from e
+    for chain, msg in TARGET_RELATIONS[scn.target]:
+        if chain[1] == "=":
+            ex[chain[0]] = Exponent.from_recip(_value(chain[2], ex))
+        elif not all(_holds(lo, op, hi, ex) for lo, op, hi
+                     in zip(chain[::2], chain[1::2], chain[2::2])):
+            raise HypothesisRejected(msg.format(
+                **{k: getattr(v, "value", v) for k, v in ex.items()}))
+    return SimpleNamespace(**ex)
 
 
 def _build(scn: Scenario, what: str, make, spec):
@@ -281,15 +353,13 @@ def _kernel_eta_gate(m: RadonMeasure, k: Kernel, beta: Exponent):
     sampled norm (a window-truncated sample hides half of the failure
     modes).  Bounded compactly supported kernels pass for every eta.
     """
-    inv_eta = 1.0 - beta.recip
-    _require(inv_eta > _EPS, f"beta must exceed 1, got {beta.value:g}")
     if k.singular_exponent is not None and m.kind in ("lebesgue", "power"):
         gamma = 1.0 + k.singular_exponent
         a = m.a if m.kind == "power" else 0.0
         required = (1.0 - gamma) / (1.0 - a)
-        _require(abs(inv_eta - required) <= 1e-9,
+        _require(abs(1.0 - beta.recip - required) <= 1e-9,
                  f"kernel decay needs 1/eta = {required:g}, scenario beta "
-                 f"gives {inv_eta:g}")
+                 f"gives {1.0 - beta.recip:g}")
 
 
 def _growth_gate(m: RadonMeasure) -> float:
@@ -535,7 +605,8 @@ def run_scenario(scn: Scenario, grid_scale: int = 1, check_homogeneity: bool = T
     toward the constant, but the witness is a part-1 row."""
     if scn.target == "covering_trials":
         return _covering_trials(scn, grid_scale)
-    plan = _GATES[scn.target](scn, grid_scale, LqTables() if tables is None else tables)
+    plan = _GATES[scn.target](scn, _exponents(scn), grid_scale,
+                              LqTables() if tables is None else tables)
     rows, homo = [], True
     for fi, f in enumerate(_scenario_functions(scn)):
         ev = plan.evaluate(f)
@@ -585,7 +656,7 @@ def verify_scenario(scn: Scenario, base_scale: int = 1) -> VerificationReport:
     return report
 
 
-def _thm21(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
+def _thm21(scn: Scenario, ex, gs: int, tables: LqTables) -> _Plan:
     """Weighted weak bound for the maximal operator, both variants.
 
     Part 1 compares (sum of v^theta over the level set)^(1/theta) with
@@ -593,23 +664,15 @@ def _thm21(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     amalgam/weak product with the interpolation exponent.
     """
     part2 = scn.target == "thm21_part2"
-    q, alpha, beta = _exponent(scn, "q"), _exponent(scn, "alpha"), _exponent(scn, "beta")
-    q1, alpha1, p1 = _exponent(scn, "q1"), _exponent(scn, "alpha1"), _exponent(scn, "p1")
-    _require(_le(beta.recip, alpha.recip, q.recip), "need q <= alpha <= beta")
-    _require(_le(q1.recip, q.recip), "need q <= q1")
-    _require(_le(p1.recip, alpha1.recip, q1.recip), "need q1 <= alpha1 <= p1")
-    inv_theta = q1.recip - beta.recip
-    _require(inv_theta > _EPS, "need 1/q1 - 1/beta > 0")
-    _require(_le(inv_theta, p1.recip), "need 1/q1 - 1/beta <= 1/p1")
+    inv_theta = ex.q1.recip - ex.beta.recip
     if part2:
-        _require(alpha.recip > beta.recip, "part 2 needs alpha < beta")
-        inv_s = alpha.recip - beta.recip
-        expo = (q1.recip - alpha1.recip) / inv_s
+        inv_s = ex.alpha.recip - ex.beta.recip
+        expo = (ex.q1.recip - ex.alpha1.recip) / inv_s
     theta = 1.0 / inv_theta
 
     m = _scenario_measure(scn)
     wgt = _scenario_weight(scn)
-    cond = _weight_gate(scn, m, wgt, q, q1, beta, gs)
+    cond = _weight_gate(scn, m, wgt, ex.q, ex.q1, ex.beta, gs)
     grid = _scenario_grid(scn, m, gs)
     wmass = weight_cell_masses(m, wgt.powered(theta), grid)
     details = {"theta": theta, "weight_condition": cond.constant,
@@ -619,64 +682,47 @@ def _thm21(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
 
     def evaluate(f):
         fv = _fv(f, wgt)
-        prof = maximal_profile(m, f, q, beta, grid.xs, table=tables.get(m, f, q))
+        prof = maximal_profile(m, f, ex.q, ex.beta, grid.xs, table=tables.get(m, f, ex.q))
         if part2:
-            a1 = _amalgam(m, fv, q1, p1, alpha1, gs, tables)
-            a2 = _amalgam(m, f, q, "inf", alpha, gs, tables)
+            a1 = _amalgam(m, fv, ex.q1, ex.p1, ex.alpha1, gs, tables)
+            a2 = _amalgam(m, f, ex.q, "inf", ex.alpha, gs, tables)
             return _weighted_rows(f, prof, wmass, inv_theta,
                                   lambda lam: (a1 / lam) * (a2 / lam) ** expo)
-        base = _lq_or_inf(m, fv, q1)
+        base = _lq_or_inf(m, fv, ex.q1)
         return _weighted_rows(f, prof, wmass, inv_theta, lambda lam: base / lam)
 
     return _Plan(details, evaluate)
 
 
-def _cor23_24(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
+def _cor23_24(scn: Scenario, ex, gs: int, tables: LqTables) -> _Plan:
     """Weak (strong) s-norm of the sampled maximal function against the
     amalgam (Lebesgue) norm of the input."""
     cor24 = scn.target == "cor24"
-    q, alpha, beta = _exponent(scn, "q"), _exponent(scn, "alpha"), _exponent(scn, "beta")
-    _require(alpha.recip > beta.recip, "need alpha < beta")
-    if cor24:
-        _require(q.recip > alpha.recip, "need q < alpha")
-    else:
-        p = _exponent(scn, "p")
-        _require(_le(alpha.recip, q.recip), "need q <= alpha")
-        gap = q.recip - beta.recip
-        _require(gap > _EPS, "need 1/q - 1/beta > 0")
-        _require(_le(gap, p.recip, alpha.recip), "need 1/q - 1/beta <= 1/p <= 1/alpha")
-    inv_s = alpha.recip - beta.recip
+    inv_s = ex.alpha.recip - ex.beta.recip
     s = 1.0 / inv_s
 
     m = _scenario_measure(scn)
     grid = _scenario_grid(scn, m, gs)
 
     def evaluate(f):
-        prof = maximal_profile(m, f, q, beta, grid.xs, table=tables.get(m, f, q))
+        prof = maximal_profile(m, f, ex.q, ex.beta, grid.xs, table=tables.get(m, f, ex.q))
         if cor24:
             strong = float(np.sum(prof ** s) * grid.cell) ** inv_s
-            return _Eval([_row(f.label, None, strong, _lq_or_inf(m, f, alpha))])
-        rhs = _amalgam(m, f, q, p, alpha, gs, tables)
+            return _Eval([_row(f.label, None, strong, _lq_or_inf(m, f, ex.alpha))])
+        rhs = _amalgam(m, f, ex.q, ex.p, ex.alpha, gs, tables)
         return _weak_rows(f, prof, grid.cell, inv_s, [(rhs, "")])
 
     return _Plan({"s": s}, evaluate)
 
 
-def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
+def _thm31_goodlambda(scn: Scenario, ex, gs: int, tables: LqTables) -> _Plan:
     """sup lam^kappa rho{Kf > lam} against the same sup for the maximal
     function, rho = w dmu, one row per (f, kappa).  Both sups run over
     lam >= one shared floor, each side up to its own top."""
-    q, alpha, beta = _exponent(scn, "q"), _exponent(scn, "alpha"), _exponent(scn, "beta")
-    invp = q.recip - beta.recip
-    _require(invp > _EPS, "need 1/q - 1/beta > 0")
-    p = Exponent.from_recip(invp)
-    _require(_le(invp, alpha.recip, q.recip),
-             "need q <= alpha <= p with 1/p = 1/q - 1/beta")
-
     m = _scenario_measure(scn)
     growth = _growth_gate(m)
     k = _scenario_kernel(scn)
-    _kernel_eta_gate(m, k, beta)
+    _kernel_eta_gate(m, k, ex.beta)
     wgt = _scenario_weight(scn)
     small_fam = _gate_family(scn, m, gs)[: 18 * gs]
     sampler = SubsetSampler(seed=scn.seed, strata=(0.05, 0.15, 0.4, 0.8),
@@ -691,13 +737,13 @@ def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     grid = _scenario_grid(scn, m, gs)
     wmass = weight_cell_masses(m, wgt.fn, grid)
     details = {"growth_constant": growth, "delta_hat": delta_hat, "eps": 0.5,
-               "p": p.value, "amalgam_norms": {}}
+               "p": ex.p.value, "amalgam_norms": {}}
 
     def evaluate(f):
-        af = _amalgam(m, f, q, p, alpha, gs, tables)
+        af = _amalgam(m, f, ex.q, ex.p, ex.alpha, gs, tables)
         _require(math.isfinite(af), f"{f.label} has infinite amalgam norm")
         kprof = _potential(m, f, k, grid.xs, gs)
-        mprof = maximal_profile(m, f, q, beta, grid.xs, table=tables.get(m, f, q))
+        mprof = maximal_profile(m, f, ex.q, ex.beta, grid.xs, table=tables.get(m, f, ex.q))
         floor = 1e-3 * max(_top(kprof), _top(mprof))
         lams_k, sums_k = _levels(wmass, kprof, floor)
         lams_m, sums_m = _levels(wmass, mprof, floor)
@@ -709,7 +755,7 @@ def _thm31_goodlambda(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     return _Plan(details, evaluate)
 
 
-def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
+def _lem32(scn: Scenario, ex, gs: int, tables: LqTables) -> _Plan:
     """Local level-set estimate with the split-threshold fitted.
 
     For each height a (LEM32_A_FRACS of the potential's top) the interval
@@ -719,17 +765,12 @@ def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     height.  Points of LEM32_B_GRID below the fit are dropped; if nothing
     survives the scenario is skipped, reported but not failed.
     """
-    q, beta = _exponent(scn, "q"), _exponent(scn, "beta")
-    invp = q.recip - beta.recip
-    _require(invp > _EPS, "need 1/q - 1/beta > 0")
-    pval = 1.0 / invp
-
     m = _scenario_measure(scn)
     k = _scenario_kernel(scn)
-    _kernel_eta_gate(m, k, beta)
+    _kernel_eta_gate(m, k, ex.beta)
     grid = _scenario_grid(scn, m, gs)
 
-    details = {"p": pval, "intervals": [], "notes": []}
+    details = {"p": ex.p.value, "intervals": [], "notes": []}
     n = grid.xs.size
 
     def interval_for(kprof, a):
@@ -744,7 +785,7 @@ def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
 
     def evaluate(f):
         kprof = _potential(m, f, k, grid.xs, gs)
-        mprof = maximal_profile(m, f, q, beta, grid.xs, table=tables.get(m, f, q))
+        mprof = maximal_profile(m, f, ex.q, ex.beta, grid.xs, table=tables.get(m, f, ex.q))
         top = _top(kprof)
         rows, intervals, notes = [], [], []
         for frac in LEM32_A_FRACS:
@@ -777,7 +818,7 @@ def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
                 for c in LEM32_C_GRID:
                     cond = (kprof[sl] > a * b) & (mprof[sl] <= a * c)
                     lhs = float(np.sum(cond)) * grid.cell
-                    rhs = (c / b) ** pval * mu_i
+                    rhs = (c / b) ** ex.p.value * mu_i
                     rows.append(_row(f.label, a, lhs, rhs, note=f"b={b:g} c={c:g}"))
         return _Eval(rows, 0 if rows else None,
                      {"intervals": intervals, "notes": notes})
@@ -793,7 +834,7 @@ def _lem32(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     return _Plan(details, evaluate, finish)
 
 
-def _lem33(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
+def _lem33(scn: Scenario, ex, gs: int, tables: LqTables) -> _Plan:
     """Far-field domination of the potential by the maximal function.
 
     Flanking intervals of exactly the support's mass are attached on
@@ -802,11 +843,9 @@ def _lem33(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     function there.  The empirical constant is the fitted domination
     factor.
     """
-    q, beta = _exponent(scn, "q"), _exponent(scn, "beta")
-    _require(_le(beta.recip, q.recip), "need q <= beta")
     m = _scenario_measure(scn)
     k = _scenario_kernel(scn)
-    _kernel_eta_gate(m, k, beta)
+    _kernel_eta_gate(m, k, ex.beta)
     n_off = 5 * gs
 
     def evaluate(f):
@@ -817,11 +856,11 @@ def _lem33(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         _tail_gate(scn, m, t1 - core - offs[-1], t2 + core + offs[-1])
         y1 = float(m.inv_cdf(t1 - core))
         y2 = float(m.inv_cdf(t2 + core))
-        rows, table = [], tables.get(m, f, q)
+        rows, table = [], tables.get(m, f, ex.q)
         for off in offs:
             for label, t_x in (("right", t2 + core + off), ("left", t1 - core - off)):
                 x = float(m.inv_cdf(t_x))
-                lhs, rhs = farfield_bound_check(m, f, q, beta, y1, f.support.a,
+                lhs, rhs = farfield_bound_check(m, f, ex.q, ex.beta, y1, f.support.a,
                                                 f.support.b, y2, x, k, table=table)
                 rows.append(_row(f.label, off, lhs, rhs, note=label))
         return _Eval(rows)
@@ -829,30 +868,22 @@ def _lem33(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     return _Plan({"offsets": n_off * 2}, evaluate)
 
 
-def _prop34_cor35_cor36(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
+def _prop34_cor35_cor36(scn: Scenario, ex, gs: int, tables: LqTables) -> _Plan:
     """Weak bounds for the potential: weighted level sets, the two-step
     product chain, and the pure weak-to-weak form with auto-chosen q, p."""
     m = _scenario_measure(scn)
     details = {"growth_constant": _growth_gate(m)}
     k = _scenario_kernel(scn)
-    alpha, beta = _exponent(scn, "alpha"), _exponent(scn, "beta")
-    _kernel_eta_gate(m, k, beta)
+    _kernel_eta_gate(m, k, ex.beta)
     grid = _scenario_grid(scn, m, gs)
+    inv_s = ex.alpha.recip - ex.beta.recip
 
     if scn.target == "prop34":
-        q, q1 = _exponent(scn, "q"), _exponent(scn, "q1")
-        alpha1, p1 = _exponent(scn, "alpha1"), _exponent(scn, "p1")
-        _require(_le(beta.recip, alpha.recip, q.recip), "need q <= alpha <= beta")
-        _require(alpha.recip > beta.recip, "need alpha < beta")
-        _require(_le(q1.recip, q.recip), "need q <= q1")
-        _require(_le(p1.recip, alpha1.recip, q1.recip), "need q1 <= alpha1 <= p1")
-        inv_theta = q1.recip - beta.recip
-        _require(inv_theta > _EPS, "need 1/q1 - 1/beta > 0")
+        inv_theta = ex.q1.recip - ex.beta.recip
         theta = 1.0 / inv_theta
-        inv_s = alpha.recip - beta.recip
-        expo = (q1.recip - alpha1.recip) / inv_s
+        expo = (ex.q1.recip - ex.alpha1.recip) / inv_s
         wgt = _scenario_weight(scn)
-        cond = _weight_gate(scn, m, wgt, q, q1, beta, gs)
+        cond = _weight_gate(scn, m, wgt, ex.q, ex.q1, ex.beta, gs)
         wmass = weight_cell_masses(m, wgt.powered(theta), grid)
         details.update({"theta": theta, "s": 1.0 / inv_s,
                         "weight_condition": cond.constant,
@@ -861,24 +892,18 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
         def evaluate(f):
             fv = _fv(f, wgt)
             kprof = _potential(m, f, k, grid.xs, gs)
-            a1 = _amalgam(m, fv, q1, p1, alpha1, gs, tables)
-            a2 = _amalgam(m, f, q, "inf", alpha, gs, tables)
+            a1 = _amalgam(m, fv, ex.q1, ex.p1, ex.alpha1, gs, tables)
+            a2 = _amalgam(m, f, ex.q, "inf", ex.alpha, gs, tables)
             return _weighted_rows(f, kprof, wmass, inv_theta,
                                   lambda lam: (a1 / lam) * (a2 / lam) ** expo)
 
     elif scn.target == "cor35":
-        q, p = _exponent(scn, "q"), _exponent(scn, "p")
-        _require(_le(alpha.recip, q.recip), "need q <= alpha")
-        _require(alpha.recip > beta.recip, "need alpha < beta")
-        inv_th = q.recip - beta.recip
-        _require(_le(inv_th, p.recip, alpha.recip), "need 1/q - 1/beta <= 1/p <= 1/alpha")
-        theta = 1.0 / inv_th
-        inv_s = alpha.recip - beta.recip
+        theta = 1.0 / (ex.q.recip - ex.beta.recip)
         details.update({"theta": theta, "s": 1.0 / inv_s})
 
         def evaluate(f):
-            a1 = _amalgam(m, f, q, p, alpha, gs, tables)
-            a2 = _amalgam(m, f, q, "inf", alpha, gs, tables)
+            a1 = _amalgam(m, f, ex.q, ex.p, ex.alpha, gs, tables)
+            a2 = _amalgam(m, f, ex.q, "inf", ex.alpha, gs, tables)
             mid = a1 ** (theta * inv_s) * a2 ** (1.0 - theta * inv_s)
             chain = [_row(f.label, None, a2, a1, note="weak_le_full"),
                      _row(f.label, None, mid, a1, note="chain")]
@@ -887,27 +912,21 @@ def _prop34_cor35_cor36(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
             return ev._replace(rows=chain + ev.rows, probe=len(chain) + ev.probe)
 
     else:
-        _require(alpha.recip < 1.0, f"need alpha > 1, got {alpha.value:g}")
-        _require(not beta.is_inf, "need beta < inf")
-        _require(alpha.recip > beta.recip, "need alpha < beta")
-        m_lo = alpha.recip - beta.recip
-        m_hi = min(alpha.recip, 1.0 - beta.recip)
-        _require(m_lo < m_hi - _EPS, "empty admissible (q, p) window")
-        mid_m = 0.5 * (m_lo + m_hi)
-        q = Exponent.from_recip(mid_m + beta.recip)
-        p = Exponent.from_recip(0.5 * (mid_m + alpha.recip))
-        inv_s = m_lo
+        # The middle of the admissible window for 1/q - 1/beta.
+        mid_m = 0.5 * (inv_s + min(ex.alpha.recip, 1.0 - ex.beta.recip))
+        q = Exponent.from_recip(mid_m + ex.beta.recip)
+        p = Exponent.from_recip(0.5 * (mid_m + ex.alpha.recip))
         details.update({"q": q.value, "p": p.value, "s": 1.0 / inv_s})
 
         def evaluate(f):
-            rhs = weak_norm(m, f, alpha)
+            rhs = weak_norm(m, f, ex.alpha)
             kprof = _potential(m, f, k, grid.xs, gs)
             return _weak_rows(f, kprof, grid.cell, inv_s, [(rhs, "")])
 
     return _Plan(details, evaluate)
 
 
-def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
+def _prop41_steinweiss(scn: Scenario, ex, gs: int, tables: LqTables) -> _Plan:
     """Fractional integral on the power measure, Lebesgue data.
 
     The twist F = |x|^a f converts the convolution against |x|^(gamma-1)
@@ -915,96 +934,76 @@ def _prop41_steinweiss(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
     power measure while the profile itself is integrated under Lebesgue.
     The closing weighted inequality stays entirely on the Lebesgue side.
     """
-    sw = scn.target == "steinweiss"
-    a = _real_param(scn, "a")
-    gamma = _real_param(scn, "gamma")
-    alpha = _exponent(scn, "alpha")
-    _require(0.0 < a < gamma < 1.0, "need 0 < a < gamma < 1")
     m_a = _scenario_measure(scn)
-    _require(m_a.kind == "power" and m_a.a == a,
+    _require(m_a.kind == "power" and m_a.a == ex.a,
              "measure block must be power with a = exponents.a")
-    ratio_ga = (gamma - a) / (1.0 - a)
-    _require(alpha.recip > ratio_ga + _EPS, "need alpha < (1 - a)/(gamma - a)")
+    ratio_ga = (ex.gamma - ex.a) / (1.0 - ex.a)
     inv_eta = 1.0 - ratio_ga
     if "eta" in scn.exponents:
-        declared = _exponent(scn, "eta")
-        _require(abs(declared.recip - inv_eta) <= 1e-9,
-                 f"declared eta {declared.value:g} clashes with the derived "
+        _require(abs(ex.eta.recip - inv_eta) <= 1e-9,
+                 f"declared eta {ex.eta.value:g} clashes with the derived "
                  f"value {1.0 / inv_eta:g}")
-    inv_s = alpha.recip - ratio_ga
+    inv_s = ex.alpha.recip - ratio_ga
     s = 1.0 / inv_s
     if scn.kernel is not None:
         kb = _scenario_kernel(scn)
         _require(kb.singular_exponent is not None
-                 and abs((1.0 + kb.singular_exponent) - gamma) <= 1e-12,
+                 and abs((1.0 + kb.singular_exponent) - ex.gamma) <= 1e-12,
                  "kernel block must match exponents.gamma")
-    k = riesz_kernel(gamma)
-    if sw:
-        _require(alpha.recip < 1.0, "the closing inequality needs alpha > 1")
+    k = riesz_kernel(ex.gamma)
 
     leb = lebesgue()
     details = {"s": s, "eta": 1.0 / inv_eta}
 
-    if sw:
-        x_hi = float(m_a.inv_cdf(scn.window_mass))
-        n = scn.samples * gs
-        cell = 2.0 * x_hi / n
-        xs = -x_hi + cell * (np.arange(n) + 0.5)
-        wfac = np.abs(xs) ** (-a * inv_s)
+    if scn.target == "steinweiss":
+        grid = sample_grid(leb, float(m_a.inv_cdf(scn.window_mass)), scn.samples * gs)
+        wfac = np.abs(grid.xs) ** (-ex.a * inv_s)
 
         def closing(f):
-            prof = _potential(leb, f, k, xs, gs)
-            rhs = _lq_or_inf(leb, power_twist(f, a * (1.0 - alpha.recip)), alpha)
+            prof = _potential(leb, f, k, grid.xs, gs)
+            rhs = _lq_or_inf(leb, power_twist(f, ex.a * (1.0 - ex.alpha.recip)), ex.alpha)
             with np.errstate(over="ignore"):
-                lhs = float(np.nansum((wfac * prof) ** s) * cell) ** inv_s
+                lhs = float(np.nansum((wfac * prof) ** s) * grid.cell) ** inv_s
             return _Eval([_row(f.label, None, lhs, rhs)])
 
         return _Plan(details, closing)
 
-    q, p = _exponent(scn, "q"), _exponent(scn, "p")
-    _require(_le(alpha.recip, q.recip), "need q <= alpha")
-    inv_th = q.recip - ratio_ga
-    _require(inv_th > _EPS, "need 1/q > (gamma - a)/(1 - a)")
-    _require(_le(inv_th, p.recip, alpha.recip), "need 1/theta <= 1/p <= 1/alpha")
-    theta = 1.0 / inv_th
+    theta = 1.0 / (ex.q.recip - ratio_ga)
     details["theta"] = theta
-    part2 = alpha.recip < 1.0
+    part2 = ex.alpha.recip < 1.0
     grid = _scenario_grid(scn, m_a, gs)
 
     def evaluate(f):
-        bigf = power_twist(f, a)
+        bigf = power_twist(f, ex.a)
         prof = _potential(leb, f, k, grid.xs, gs)
-        a1 = _amalgam(m_a, bigf, q, p, alpha, gs, tables)
-        a2 = _amalgam(m_a, bigf, q, "inf", alpha, gs, tables)
+        a1 = _amalgam(m_a, bigf, ex.q, ex.p, ex.alpha, gs, tables)
+        a2 = _amalgam(m_a, bigf, ex.q, "inf", ex.alpha, gs, tables)
         rhs_notes = [(a1 ** (theta * inv_s) * a2 ** (1.0 - theta * inv_s), "")]
         if part2:
-            rhs_notes.append((weak_norm(m_a, bigf, alpha), "part2"))
+            rhs_notes.append((weak_norm(m_a, bigf, ex.alpha), "part2"))
         return _weak_rows(f, prof, grid.cell, inv_s, rhs_notes)
 
     return _Plan(details, evaluate)
 
 
-def _norm_properties(scn: Scenario, gs: int, tables: LqTables) -> _Plan:
+def _norm_properties(scn: Scenario, ex, gs: int, tables: LqTables) -> _Plan:
     """Norm cross-checks on one family: the q = p = alpha collapse, the
     weak-vs-strong comparison, the p-monotonicity of block norms, and
     the weak-to-amalgam embedding constant."""
-    q, p, alpha = _exponent(scn, "q"), _exponent(scn, "p"), _exponent(scn, "alpha")
-    _require(not (q.recip < alpha.recip or alpha.recip < p.recip),
-             "need q <= alpha <= p for a nontrivial space")
     m = _scenario_measure(scn)
-    identity_mode = (q.value == p.value == alpha.value)
+    identity_mode = (ex.q.value == ex.p.value == ex.alpha.value)
 
     def evaluate(f):
-        full = _amalgam(m, f, q, p, alpha, gs, tables)
-        weak = weak_norm(m, f, alpha)
-        strong = _lq_or_inf(m, f, alpha)
+        full = _amalgam(m, f, ex.q, ex.p, ex.alpha, gs, tables)
+        weak = weak_norm(m, f, ex.alpha)
+        strong = _lq_or_inf(m, f, ex.alpha)
         rows = []
         if identity_mode and math.isfinite(strong):
             rows.append(_row(f.label, None, full, strong, note="identity"))
         if math.isfinite(strong):
             rows.append(_row(f.label, None, weak, strong, note="weak_le_strong"))
         if not identity_mode:
-            tail_free = _amalgam(m, f, q, "inf", alpha, gs, tables)
+            tail_free = _amalgam(m, f, ex.q, "inf", ex.alpha, gs, tables)
             rows.append(_row(f.label, None, tail_free, full, note="p_monotone"))
         rows.append(_row(f.label, None, full, weak, note="embedding"))
         return _Eval(rows, len(rows) - 1)

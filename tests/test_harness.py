@@ -259,6 +259,145 @@ def test_prop41_rejects_a_measure_block_other_than_its_power_measure(stem, measu
         run_scenario(parse_scenario(block))
 
 
+# One suite scenario per target, and for each relation of TARGET_RELATIONS
+# that carries a message, in order, the exponents that move it just across
+# that relation: a hair (HAIR, relative) across an exact link, into the
+# 1e-12 margin of a strict link with a difference, and 1e-10 across the
+# slack of a <= link with one.
+HAIR = 1e-13
+CROSSINGS = {
+    "thm21_part1": ("thm21_part1_custom", [
+        {"alpha": 6 * (1 + HAIR)}, {"q1": 1.5 * (1 - HAIR)}, {"alpha1": 2 * (1 + HAIR)},
+        {"q": 2, "alpha": 2, "beta": 2, "q1": 2}, {"p1": 2 * (1 + 1e-10)}]),
+    "thm21_part2": ("thm21_part2_custom", [
+        {"alpha": 6 * (1 + HAIR)}, {"q1": 1.5 * (1 - HAIR)}, {"alpha1": 2 * (1 + HAIR)},
+        {"q": 2, "alpha": 2, "beta": 2, "q1": 2}, {"p1": 2 * (1 + 1e-10)},
+        {"alpha": 6}]),
+    "cor23": ("cor23_power", [
+        {"beta": 3}, {"q": 3 * (1 + HAIR)}, {"q": 3, "beta": 3 * (1 + HAIR)},
+        {"p": 3 * (1 - HAIR)}]),
+    "cor24": ("cor24_power", [{"beta": 3}, {"q": 3}]),
+    # alpha a hair above the derived p = 4, as amalgam_norm reads it.
+    "thm31_goodlambda": ("thm31_table_kernel", [{"beta": 2}, {"alpha": 4 * (1 + HAIR)}]),
+    "lem32": ("lem32_lebesgue", [{"beta": 1}]),
+    "lem33": ("lem33_lebesgue", [{"q": 2, "beta": 2 * (1 - HAIR)}, {"beta": 1}]),
+    "prop34": ("prop34_shallow_kernel", [
+        {"beta": 1}, {"alpha": 3.3333333333333335 * (1 + HAIR)},
+        {"alpha": 3.3333333333333335}, {"q1": 1.5 * (1 - HAIR)},
+        {"alpha1": 4 * (1 + HAIR)}, {"q": 2, "q1": 2, "beta": 2 * (1 + HAIR)}]),
+    "cor35": ("cor35_lebesgue", [
+        {"beta": 1}, {"q": 1.5 * (1 + HAIR)}, {"alpha": 2}, {"p": 1.5 * (1 - HAIR)}]),
+    "cor36": ("cor36_alpha2", [
+        {"beta": 1}, {"alpha": 1}, {"beta": "inf"}, {"alpha": 2.5}, {"beta": 1e13},
+        {"alpha": 1 + HAIR}]),
+    "prop41": ("prop41_alpha15", [
+        {"a": 0.5}, {"alpha": 3}, {"q": 1.5 * (1 + HAIR)}, {"p": 1.5 * (1 - HAIR)}]),
+    "steinweiss": ("steinweiss_a25", [{"a": 0.5}, {"alpha": 3}, {"alpha": 1}]),
+    "norm_properties": ("norms_embedding", [{"alpha": 4 * (1 + HAIR)}]),
+    "covering_trials": ("covering_lebesgue", []),
+}
+
+
+def _messages(target: str) -> list:
+    return [msg for _, msg in harness.TARGET_RELATIONS[target] if msg is not None]
+
+
+@pytest.mark.parametrize("target, k", [
+    (target, k) for target in harness.TARGET_RELATIONS
+    for k in range(len(_messages(target)))])
+def test_each_relation_rejects_just_across_it_before_anything_is_built(
+        target, k, monkeypatch):
+    stem, moves = CROSSINGS[target]
+    assert len(moves) == len(_messages(target))
+    block = _file_block(stem)
+    harness._exponents(parse_scenario(block))     # the suite scenario is admitted
+    block["exponents"].update(moves[k])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before the exponents were checked")
+
+    monkeypatch.setattr(harness, "growth_constant", forbidden)
+    monkeypatch.setattr(harness, "thm21_condition", forbidden)
+    monkeypatch.setattr(LqTable, "__init__", forbidden)
+    with pytest.raises(HypothesisRejected) as caught:
+        run_scenario(parse_scenario(block))
+    assert str(caught.value) == _messages(target)[k].format(**block["exponents"])
+
+
+def test_target_exponents_are_the_names_the_relations_read():
+    thm21 = ("q", "alpha", "beta", "q1", "alpha1", "p1")
+    expected = {
+        "thm21_part1": thm21, "thm21_part2": thm21, "cor23": ("q", "alpha", "beta", "p"),
+        "cor24": ("q", "alpha", "beta"), "thm31_goodlambda": ("q", "alpha", "beta"),
+        "lem32": ("q", "beta"), "lem33": ("q", "beta"), "prop34": thm21,
+        "cor35": ("q", "alpha", "beta", "p"), "cor36": ("alpha", "beta"),
+        "prop41": ("a", "gamma", "alpha", "eta", "q", "p"),
+        "steinweiss": ("a", "gamma", "alpha", "eta"),
+        "norm_properties": ("q", "p", "alpha"), "covering_trials": ()}
+    assert {t: set(names) for t, names in harness.TARGET_EXPONENTS.items()} == {
+        t: set(names) for t, names in expected.items()}
+
+
+def test_readme_lists_every_hypothesis_message():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for target in harness.TARGET_RELATIONS:
+        for msg in _messages(target):
+            assert f"`{msg}`" in readme, (target, msg)
+
+
+# Exponents a hair across an operator's own precondition (amalgam_norm's
+# q <= alpha <= p, maximal's q <= beta).  The gates' slack used to admit
+# them; the operator then stopped the verify, and a sweep, with exit 3.
+TABLE_KERNEL = {"kind": "table", "points": [[0, 2], [0.5, 1.5], [1, 1], [3, 0]]}
+OPERATOR_EDGE_PROBES = {
+    "cor23_q": ("cor23_power", {"q": 3 * (1 + HAIR)}, {}, "need q <= alpha"),
+    "cor23_p": ("cor23_power", {"p": 3 * (1 - HAIR)}, {},
+                "need 1/q - 1/beta <= 1/p <= 1/alpha"),
+    "cor35_q": ("cor35_lebesgue", {"q": 1.5 * (1 + HAIR)}, {}, "need q <= alpha"),
+    "prop41_q": ("prop41_alpha15", {"q": 1.5 * (1 + HAIR)}, {}, "need q <= alpha"),
+    "thm31_q": ("thm31_table_kernel", {"q": 3 * (1 + HAIR)}, {},
+                "need q <= alpha <= p with 1/p = 1/q - 1/beta"),
+    "thm31_alpha": ("thm31_table_kernel", {"alpha": 4 * (1 + HAIR)}, {},
+                    "need q <= alpha <= p with 1/p = 1/q - 1/beta"),
+    "lem33_beta": ("lem33_lebesgue", {"q": 2, "beta": 2 * (1 - HAIR)},
+                   {"kernel": TABLE_KERNEL}, "need q <= beta"),
+}
+
+
+def _write_probe(directory: Path, name: str) -> Path:
+    stem, exponents, changes, _ = OPERATOR_EDGE_PROBES[name]
+    block = _file_block(stem, name=name, **changes)
+    block["exponents"].update(exponents)
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(block))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_EDGE_PROBES))
+def test_an_exponent_across_an_operators_precondition_exits_2(tmp_path, capsys, name):
+    assert main(["verify", "--scenario", str(_write_probe(tmp_path, name))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rejected: {OPERATOR_EDGE_PROBES[name][3]}\n"
+
+
+def test_a_sweep_records_operator_edge_probes_as_rejected_and_goes_on(tmp_path, capsys):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    for name in OPERATOR_EDGE_PROBES:
+        _write_probe(scenarios, name)
+    (scenarios / "z_norms_identity.json").write_text(
+        json.dumps(small_scenario_block("norms_identity")))
+    out = tmp_path / "out"
+    assert main(["sweep", "--dir", str(scenarios), "--out", str(out)]) == 2
+    capsys.readouterr()
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [(e["scenario"], e["status"], e.get("reason")) for e in summary] == [
+        *((name, "rejected", OPERATOR_EDGE_PROBES[name][3])
+          for name in sorted(OPERATOR_EDGE_PROBES)),
+        ("norms_identity", "pass", None)]
+
+
 # Density 1 on [-0.3, 0.3], 1e-4 outside, 1/|x| tails: F^-1(-4) and F^-1(4)
 # overflow to -inf and inf.
 LIGHT_TAILS = {"kind": "custom", "tail": {"left_exp": 1, "right_exp": 1},
