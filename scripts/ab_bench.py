@@ -11,7 +11,10 @@ one pair to the next, so a drift of the host's speed falls on both
 sides alike.  Then it makes one traced run (`--trace 1`) per side and
 workload at the first seed.
 
-OUT_JSON holds, per workload and seed and per end-to-end metric of
+OUT_JSON holds each side's environment, as perfbench records it, with
+the PYTHONDONTWRITEBYTECODE its runs inherit (null when unset): set, a
+run compiles every source, which moves `setup_s` and may move
+`item_p50_s`.  Per workload and seed and per end-to-end metric of
 CHANGE_TREE's BENCHMARK.json: both sides' medians, the parent's
 quartiles and IQR, the change's relative move, the number of pairs in
 which the change was better, and every run's value; and per side the
@@ -24,6 +27,7 @@ seeds x 2 sides runs of SECONDS each take about 75 minutes.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -39,7 +43,8 @@ SIDES = ("parent", "change")
 
 def _run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """perfbench's result line (correct, attempted, failed, metrics) and
-    the environment of its record line, for one run in tree."""
+    the environment of its record line, with the PYTHONDONTWRITEBYTECODE
+    the run inherits, for one run in tree."""
     seconds = 1 if trace else SECONDS
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
@@ -51,6 +56,8 @@ def _run(tree: Path, workload: str, seed: int, trace: int) -> dict:
                            f"{trace}) exited {done.returncode}:\n{done.stderr}")
     result = json.loads(lines[-1])
     result["environment"] = json.loads(lines[-2])["record"]["environment"]
+    result["environment"]["PYTHONDONTWRITEBYTECODE"] = os.environ.get(
+        "PYTHONDONTWRITEBYTECODE")
     return result
 
 
@@ -101,7 +108,8 @@ def main(argv=None) -> int:
                 for pair in range(PAIRS):
                     for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
                         runs[side].append(_run(trees[side], workload, seed, 0))
-                out.setdefault("environment", runs["parent"][0]["environment"])
+                out.setdefault("environment", {side: runs[side][0]["environment"]
+                                               for side in SIDES})
                 failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
                 code = max(code, int(any(failed.values())))
                 entry[f"seed{seed}"] = {

@@ -19,8 +19,8 @@ from .norms import (Exponent, LqTable, TrivialSpaceError, amalgam_norm,
 from .operators import (Kernel, farfield_bound_check, make_kernel, maximal,
                         maximal_profile, potential, potential_profile,
                         riesz_kernel, table_kernel)
-from .weights import (SubsetSampler, Weight, WeightConditionResult,
-                      a_infty_epsilon_delta, a_r_constant,
+from .weights import (IntervalFamily, SubsetSampler, Weight,
+                      WeightConditionResult, a_infty_epsilon_delta, a_r_constant,
                       default_interval_family, make_weight,
                       reverse_holder_check, thm21_condition)
 from .covering import (MidpointedFamily, Trials, make_family, midpoint,

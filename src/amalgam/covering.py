@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measure import IntervalRC, RadonMeasure, make_interval
+from .measure import IntervalRC, RadonMeasure, _with_mass, make_interval
 
 __all__ = [
     "midpoint",
@@ -48,6 +48,7 @@ WINDOW_PAD = 2.0
 def midpoint(m: RadonMeasure, I: IntervalRC) -> float:
     """The mass midpoint: mu([a,c)) = mu([c,b)) = mu(I)/2, exact through
     the inverse distribution function."""
+    I = _with_mass(m, I)
     if not (I.mass > 0.0):
         raise ValueError(f"interval {I} has no mass to halve")
     c = float(m.inv_cdf(0.5 * (m.cdf(I.a) + m.cdf(I.b))))
@@ -117,7 +118,9 @@ def _family(m: RadonMeasure, a, b, Fa, Fb, mass, window: IntervalRC,
 
 def make_family(m: RadonMeasure, intervals, window: IntervalRC,
                 check_tol: float = 1e-9) -> MidpointedFamily:
-    ivs = tuple(intervals)
+    """The family of the intervals with their midpoints; an interval
+    that caches no mass takes F(b) - F(a)."""
+    ivs = tuple(_with_mass(m, I) for I in intervals)
     a = np.array([I.a for I in ivs], float)
     b = np.array([I.b for I in ivs], float)
     mass = np.array([I.mass for I in ivs], float)

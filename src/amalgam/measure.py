@@ -469,10 +469,6 @@ class IntervalRC:
         if self.b <= self.a:
             raise ValueError(f"need a < b, got [{self.a}, {self.b})")
 
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
     def contains(self, x: float) -> bool:
         return self.a <= x < self.b
 
@@ -797,6 +793,11 @@ def make_measure(spec: dict) -> RadonMeasure:
 
 def make_interval(m: RadonMeasure, a: float, b: float) -> IntervalRC:
     return IntervalRC(float(a), float(b), mass=m.cdf(b) - m.cdf(a))
+
+
+def _with_mass(m: RadonMeasure, I: IntervalRC) -> IntervalRC:
+    """I if it caches its mass, else make_interval(m, I.a, I.b)."""
+    return I if I.mass is not None else make_interval(m, I.a, I.b)
 
 
 def integrate(m: RadonMeasure, g, interval: IntervalRC, tol: float = 1e-8,

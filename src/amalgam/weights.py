@@ -7,6 +7,10 @@ operationalized two ways: an interval whose defining integral diverges
 pushes the constant to inf, and growth of the per-scale maxima without
 saturation sets the `diverging` flag.
 
+A family of intervals is held as arrays of ends and masses, as
+covering's families are; an IntervalRC is built from them only where one
+is asked for (the argmax, a sampled interval, iteration).
+
 The interval integrals come from one table per factor (w, w^-e, v^theta
 and so on): the interval ends and the singular points and breakpoints of
 the factor cut the line into cells, each cell is integrated once, and
@@ -23,20 +27,21 @@ drawn before the one table that serves all of them is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .functions import RealFunction, power_function, table_function
 from .measure import (IntervalRC, QuadratureError, RadonMeasure,
-                      _interval_integrals, make_interval, partition)
+                      _interval_integrals, _with_mass, make_interval, partition)
 from .norms import Exponent
 
 __all__ = [
     "Weight",
     "make_weight",
     "WeightConditionResult",
+    "IntervalFamily",
     "default_interval_family",
     "a_r_constant",
     "thm21_condition",
@@ -117,41 +122,101 @@ class WeightConditionResult:
                 f"{self.interval_count} intervals{flag})")
 
 
+@dataclass(frozen=True, eq=False)
+class IntervalFamily(Sequence):
+    """Intervals [a[i], b[i]) of mass mass[i], held as arrays.
+
+    Indexing and iteration give IntervalRCs: the ones the family was made
+    of (given), else built from the arrays' floats on demand.  A slice is
+    a family; adding a sequence gives a list of IntervalRCs."""
+
+    a: np.ndarray
+    b: np.ndarray
+    mass: np.ndarray
+    given: tuple[IntervalRC, ...] | None = None
+
+    @classmethod
+    def of(cls, m: RadonMeasure, intervals) -> IntervalFamily:
+        """The family of a sequence of IntervalRCs; one that caches no
+        mass takes F(b) - F(a), as make_interval does."""
+        ivs = tuple(_with_mass(m, I) for I in intervals)
+        a, b, mass = (np.array([getattr(I, k) for I in ivs], float)
+                      for k in ("a", "b", "mass"))
+        return cls(a, b, mass, ivs)
+
+    def __len__(self):
+        return self.a.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            given = None if self.given is None else self.given[i]
+            return IntervalFamily(self.a[i], self.b[i], self.mass[i], given)
+        if self.given is not None:
+            return self.given[i]
+        return IntervalRC(float(self.a[i]), float(self.b[i]), float(self.mass[i]))
+
+    def __add__(self, other):
+        return [*self, *other]
+
+
+def _as_family(m: RadonMeasure, family) -> IntervalFamily:
+    """The family to scan: default_interval_family(m) for None, else
+    family as an IntervalFamily."""
+    if family is None:
+        return default_interval_family(m)
+    if isinstance(family, IntervalFamily):
+        return family
+    return IntervalFamily.of(m, family)
+
+
+def _check_ends(a: list[float], b: list[float]) -> None:
+    """IntervalRC's error for the first interval [a[i], b[i]) whose ends
+    are not finite with a[i] < b[i]."""
+    a, b = np.array(a, float), np.array(b, float)
+    bad = ~(np.isfinite(a) & np.isfinite(b) & (a < b))
+    if bad.any():
+        i = int(np.argmax(bad))
+        IntervalRC(float(a[i]), float(b[i]))
+
+
 def default_interval_family(m: RadonMeasure, span_mass: float = 32.0,
                             centers: int = 32, scales: int = 8,
-                            x0: float = 0.0) -> list[IntervalRC]:
+                            x0: float = 0.0) -> IntervalFamily:
     """Dyadic-in-mass intervals at spread centers, plus unions of
     partition blocks anchored at x0 (these keep 0 as an endpoint)."""
-    fam: list[IntervalRC] = []
     half = span_mass / 2.0
     t0 = m.cdf(x0)
     # Python floats: their arithmetic is cheaper than numpy scalars'.
     t_centers = (t0 + np.linspace(-half, half, centers)).tolist()
     masses = (span_mass / 2.0 ** np.arange(scales)).tolist()
+    a, b, mass = [], [], []
     for tc in t_centers:
-        for mass in masses:
-            a = m.inv_cdf(tc - mass / 2.0)
-            b = m.inv_cdf(tc + mass / 2.0)
-            fam.append(make_interval(m, float(a), float(b)))
+        for s in masses:
+            lo, hi = m.inv_cdf(tc - s / 2.0), m.inv_cdf(tc + s / 2.0)
+            a.append(lo)
+            b.append(hi)
+            mass.append(m.cdf(hi) - m.cdf(lo))    # make_interval's mass
+    _check_ends(a, b)
     lo_edge = m.inv_cdf(t0 - half)
     hi_edge = m.inv_cdf(t0 + half)
     part = partition(m, x0, 1.0, IntervalRC(float(lo_edge), float(hi_edge)))
     edges = part.breakpoints.tolist()
-    t_edges = [m.cdf(x) for x in edges]     # F once per edge, as make_interval takes it
+    t_edges = np.array([m.cdf(x) for x in edges])   # F once per edge, as make_interval takes it
+    n = len(a)
     for width in (1, 2, 4, 8):
-        for i in range(0, len(edges) - width):
-            fam.append(IntervalRC(edges[i], edges[i + width],
-                                  mass=t_edges[i + width] - t_edges[i]))
-    return fam
+        a += edges[:-width]
+        b += edges[width:]
+        mass += (t_edges[width:] - t_edges[:-width]).tolist()
+    _check_ends(a[n:], b[n:])
+    return IntervalFamily(*(np.array(v, float) for v in (a, b, mass)))
 
 
-def _t_ends(m: RadonMeasure, family: Sequence[IntervalRC]
+def _t_ends(m: RadonMeasure, family: IntervalFamily
             ) -> tuple[np.ndarray, np.ndarray]:
     """F at the left and at the right ends of the family's intervals."""
     if len(family) == 0:
         raise ValueError("interval family is empty")
-    t = np.asarray(m.cdf(np.array([(I.a, I.b) for I in family]).ravel()), float)
-    return t[0::2], t[1::2]
+    return m.cdf(family.a), m.cdf(family.b)
 
 
 def _check_positive(m: RadonMeasure, w: RealFunction,
@@ -171,14 +236,14 @@ def _averages(m: RadonMeasure, g: RealFunction, t_a: np.ndarray,
     return _interval_integrals(m, g, t_a, t_b) / (t_b - t_a)
 
 
-def _ess_sups(m: RadonMeasure, g, family: Sequence[IntervalRC],
+def _ess_sups(m: RadonMeasure, g, family: IntervalFamily,
               n: int = 257) -> np.ndarray:
     """Sampled essential sup of g over each interval: the max at n
     midpoints.  The ends take F one at a time, so the points are those
     of the interval alone (F of an array may round apart in the last
     place)."""
-    t = np.array([(m.cdf(I.a), m.cdf(I.b)) for I in family])
-    t_a, t_b = t[:, :1], t[:, 1:]
+    t_a, t_b = (np.array([m.cdf(x) for x in ends.tolist()])[:, None]
+                for ends in (family.a, family.b))
     ts = t_a + (t_b - t_a) * (np.arange(n) + 0.5) / n
     with np.errstate(divide="ignore", over="ignore"):
         vals = np.asarray(g(m.inv_cdf(ts.ravel())), float)
@@ -193,13 +258,12 @@ def _product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(out), np.inf, out)
 
 
-def _scan(family: Sequence[IntervalRC],
-          values: np.ndarray) -> WeightConditionResult:
+def _scan(family: IntervalFamily, values: np.ndarray) -> WeightConditionResult:
     """The sup over a nonempty family and its maximum per mass level
     2^k, k the nearest integer to log2(mass).  NaN values are skipped,
     the first interval of the greatest value is the argmax, and there is
     none when every value is -inf or NaN."""
-    keys, level = np.unique(np.rint(np.log2([I.mass for I in family])),
+    keys, level = np.unique(np.rint(np.log2(family.mass)),
                             return_inverse=True)
     maxima = np.full(keys.size, -np.inf)
     np.fmax.at(maxima, level, values)
@@ -215,15 +279,11 @@ def _scan(family: Sequence[IntervalRC],
     return WeightConditionResult(best, best_I, len(family), diverging, per_level)
 
 
-def _two_factor(m: RadonMeasure, wgt: Weight,
-                family: Sequence[IntervalRC] | None, inv_theta: float,
-                gap: float) -> WeightConditionResult:
-    """sup over the family (default_interval_family if None) of
-    (avg_I w^theta)^(1/theta) * (avg_I w^(-1/gap))^gap, 1/theta =
-    inv_theta; at gap = 0 the second factor is the sampled essential sup
-    of w^(-1)."""
-    if family is None:
-        family = default_interval_family(m)
+def _two_factor(m: RadonMeasure, wgt: Weight, family: IntervalFamily,
+                inv_theta: float, gap: float) -> WeightConditionResult:
+    """sup over the family of (avg_I w^theta)^(1/theta) *
+    (avg_I w^(-1/gap))^gap, 1/theta = inv_theta; at gap = 0 the second
+    factor is the sampled essential sup of w^(-1)."""
     t_a, t_b = _t_ends(m, family)
     _check_positive(m, wgt.fn, t_a, t_b)
     first = _averages(m, wgt.powered(1.0 / inv_theta), t_a, t_b) ** inv_theta
@@ -248,7 +308,7 @@ def a_r_constant(m: RadonMeasure, w, r,
     r = Exponent.of(r)
     if r.is_inf:
         raise ValueError("a_r_constant needs finite r >= 1")
-    return _two_factor(m, wgt, interval_family, 1.0, r.value - 1.0)
+    return _two_factor(m, wgt, _as_family(m, interval_family), 1.0, r.value - 1.0)
 
 
 def thm21_condition(m: RadonMeasure, v, q, q1, beta,
@@ -267,7 +327,8 @@ def thm21_condition(m: RadonMeasure, v, q, q1, beta,
     inv_theta = q1.recip - beta.recip
     if inv_theta <= 0:
         raise ValueError("need 1/q1 - 1/beta > 0")
-    return _two_factor(m, vw, interval_family, inv_theta, q.recip - q1.recip)
+    return _two_factor(m, vw, _as_family(m, interval_family), inv_theta,
+                       q.recip - q1.recip)
 
 
 @dataclass(frozen=True)
@@ -305,7 +366,7 @@ class SubsetSampler:
 
 
 def _subset_ratios(m: RadonMeasure, w: RealFunction,
-                   family: Sequence[IntervalRC], sampler: SubsetSampler,
+                   family: IntervalFamily, sampler: SubsetSampler,
                    max_intervals: int = 12):
     """(mu(E)/mu(I), w(E)/w(I)) over the sampled pairs: every E is drawn
     first, then all the w-masses come from one table of cells."""
@@ -317,7 +378,7 @@ def _subset_ratios(m: RadonMeasure, w: RealFunction,
                                      in sub.pairs(m, family[idx]) if frac > 0]))
     spans = [J for I, pairs in draws
              for J in [I, *(p for pieces, _ in pairs for p in pieces)]]
-    masses = _interval_integrals(m, w, *_t_ends(m, spans))
+    masses = _interval_integrals(m, w, *_t_ends(m, IntervalFamily.of(m, spans)))
     if not np.all(np.isfinite(masses)):
         raise QuadratureError("weight integral diverges on a sampled interval",
                               estimate=np.inf, error_bound=np.inf)
@@ -343,8 +404,7 @@ def reverse_holder_check(m: RadonMeasure, w,
     fraction 1, so any fitted slope above 1 is stratification noise.
     """
     wgt = _as_weight(w)
-    if interval_family is None:
-        interval_family = default_interval_family(m)
+    interval_family = _as_family(m, interval_family)
     if subset_sampler is None:
         subset_sampler = SubsetSampler(seed=0)
     _check_positive(m, wgt.fn, *_t_ends(m, interval_family))
@@ -370,8 +430,7 @@ def a_infty_epsilon_delta(m: RadonMeasure, w, eps: float,
     if not (0.0 < eps):
         raise ValueError("eps must be positive")
     wgt = _as_weight(w)
-    if interval_family is None:
-        interval_family = default_interval_family(m)
+    interval_family = _as_family(m, interval_family)
     if subset_sampler is None:
         subset_sampler = SubsetSampler(
             seed=0, strata=(0.01, 0.03, 0.07, 0.15, 0.3, 0.5, 0.7, 0.9, 1.0))

@@ -51,6 +51,16 @@ def test_family_halves_mass(m):
         assert left == pytest.approx(0.5 * iv.mass, rel=1e-9)
 
 
+def test_make_family_takes_the_mass_of_an_interval_that_caches_none():
+    ivs = [IntervalRC(0.5, 2.0), IntervalRC(-1.0, 3.0)]
+    window = make_interval(LEB, -5.0, 5.0)
+    fam = make_family(LEB, ivs, window)
+    want = make_family(LEB, [make_interval(LEB, I.a, I.b) for I in ivs], window)
+    assert fam.mass.tolist() == [1.5, 4.0]
+    assert fam.midpoints.tobytes() == want.midpoints.tobytes()
+    assert [midpoint(LEB, I) for I in ivs] == want.midpoints.tolist()
+
+
 def test_select_single_interval():
     fam = make_family(LEB, [make_interval(LEB, 0.0, 1.0)],
                       make_interval(LEB, -2.0, 2.0))

@@ -13,6 +13,7 @@ from amalgam.measure import (IntervalRC, QuadratureError, _interval_integrals,
                              make_interval, partition, power_measure)
 from amalgam.norms import Exponent
 from amalgam.weights import (
+    IntervalFamily,
     SubsetSampler,
     _averages,
     _ess_sups,
@@ -536,7 +537,7 @@ def _scan_cases():
 
 def test_scan_equals_the_per_interval_loop():
     for family, values in _scan_cases():
-        got = _scan(family, values)
+        got = _scan(IntervalFamily.of(LEB, family), values)
         best, best_I, count, diverging, per_level = _loop_scan(family, values)
         assert np.float64(got.constant).tobytes() == np.float64(best).tobytes()
         assert got.argmax_interval is best_I
@@ -613,3 +614,70 @@ def test_two_factor_scan_keeps_the_bits_on_the_default_family():
         _same_bits(a_r_constant(m, w, r), _pre_a_r(m, w, r))
     for q in (1.5, 2):
         _same_bits(thm21_condition(m, w, q, 2, 6), _pre_thm21(m, w, q, 2, 6))
+
+
+# ---------------------------------------------------------------------------
+# A family held as arrays
+#
+# A family of IntervalRCs and the array family scan the same floats, so
+# every result must keep its bits; the CLI prints 12 digits, so these
+# tests are what pins an ulp.
+
+
+def _same_result(got, want):
+    if isinstance(got, weights.WeightConditionResult):
+        _same_bits(got, want)
+    else:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("m", [LEB, power_measure(0.3), CUSTOM], ids=repr)
+def test_array_family_matches_a_list_of_intervals(m):
+    fam = default_interval_family(m)
+    ivs = [make_interval(m, I.a, I.b) for I in fam]
+    sampler = SubsetSampler(seed=5, strata=(0.05, 0.15, 0.4, 0.8), draws_per_stratum=1)
+    for wgt in (make_weight({"kind": "power", "b": 0.3}),
+                make_weight({"kind": "power", "b": -0.2})):
+        calls = [lambda f, r=r: a_r_constant(m, wgt, r, f) for r in (1, 1.5, 2, 3)]
+        calls += [lambda f, e=e: thm21_condition(m, wgt, *e, f)
+                  for e in ((1, 2, 4), (1.5, 1.5, 6), (1, 1.2, 4))]
+        calls += [lambda f: reverse_holder_check(m, wgt, f),
+                  lambda f: a_infty_epsilon_delta(m, wgt, 0.5, f, sampler)]
+        for call in calls:
+            _same_result(call(fam), call(ivs))
+    got = a_r_constant(m, make_weight({"kind": "power", "b": 0.3}), 2, ivs)
+    assert any(got.argmax_interval is I for I in ivs)
+
+
+def test_interval_family_gives_intervals_on_demand():
+    fam = default_interval_family(LEB, span_mass=8.0, centers=5, scales=3)
+    ivs = [make_interval(LEB, a, b) for a, b in zip(fam.a.tolist(), fam.b.tolist())]
+    assert len(fam) == len(ivs) and list(fam) == ivs
+    assert fam[-1] == ivs[-1]
+    head = fam[:7]
+    assert isinstance(head, IntervalFamily) and list(head) == ivs[:7]
+    assert fam + ivs[:1] == ivs + ivs[:1]
+    given = IntervalFamily.of(LEB, ivs)
+    assert all(I is J for I, J in zip(given, ivs))
+    assert given[2:4][0] is ivs[2]
+
+
+def test_conditions_take_the_mass_of_intervals_that_cache_none():
+    # Each interval's mass is F(b) - F(a), as make_interval takes it.
+    w = make_weight({"kind": "power", "b": 0.2})
+    for m in (LEB, power_measure(0.3)):
+        bare = [IntervalRC(0.5, 2.0), IntervalRC(-1.0, 3.0)]
+        massed = [make_interval(m, I.a, I.b) for I in bare]
+        got = a_r_constant(m, w, 2, bare)
+        _same_bits(got, a_r_constant(m, w, 2, massed))
+        assert got.argmax_interval.mass is not None
+        _same_bits(thm21_condition(m, w, 1, 2, 4, bare),
+                   thm21_condition(m, w, 1, 2, 4, massed))
+
+
+def test_default_interval_family_raises_on_an_overflowing_end():
+    # F^-1 overflows in the left tail of exponent 0.999 at about mass 1000.
+    m = custom_measure([[-1.0, 1.0], [1.0, 1.0]], 0.999, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="interval endpoints must be finite"):
+        default_interval_family(m, span_mass=2000.0, centers=4, scales=2)
